@@ -6,7 +6,8 @@ plus certificate), ``stats`` (degree and line-size profile), ``verify``
 (claim harness with reports) and ``enumerate-c44``.
 
 Exit codes: 0 success, 1 invalid instance input, 2 bad name or parameters,
-3 claim failure.
+3 claim failure, 4 internal inconsistency (a planarity certificate that does
+not validate, or a solver that disagrees with its brute-force oracle).
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ from .constructions import (
 from .files import InstanceFormatError, load_instance, save_instance
 from .planarity import validate_verdict, incidence_graph, zykov_planar
 from .solvers import transversal_number, two_packing_number
-from .verify import VerifyConfig, reports_to_json, reports_to_markdown, run_all
+from .verify import (
+    HarnessError,
+    VerifyConfig,
+    reports_to_json,
+    reports_to_markdown,
+    run_all,
+)
 
 EXIT_OK = 0
 EXIT_BAD_INSTANCE = 1
 EXIT_BAD_PARAMS = 2
 EXIT_CLAIM_FAILURE = 3
+EXIT_INTERNAL = 4
 
 
 def _err(msg: str) -> None:
@@ -120,7 +128,9 @@ def cmd_planarity(args: argparse.Namespace) -> int:
         return EXIT_BAD_INSTANCE
     verdict = zykov_planar(sys_)
     graph = incidence_graph(sys_)
-    assert validate_verdict(graph, verdict)
+    if not validate_verdict(graph, verdict):
+        _err("planarity certificate failed validation")
+        return EXIT_INTERNAL
     doc: dict = {"planar": verdict.planar}
     if verdict.planar:
         doc["embedding"] = {str(v): list(rot) for v, rot in verdict.embedding.items()}
@@ -187,6 +197,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except LinearSystemError as exc:
         _err(str(exc))
         return EXIT_BAD_PARAMS
+    except HarnessError as exc:
+        _err(str(exc))
+        return EXIT_INTERNAL
     out_dir = Path(args.out) if args.out else Path("verify-report")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")

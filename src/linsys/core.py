@@ -55,6 +55,11 @@ class TooLarge(LinearSystemError):
     pass
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: ``True == 1``, but it is no id or count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _mask(points: Iterable[int]) -> int:
     m = 0
     for p in points:
@@ -139,16 +144,18 @@ def new_linear_system(n_points: int, lines: Iterable[Iterable[int]]) -> LinearSy
     :class:`LinearityViolation` (reporting the offending pair) when the input
     is not a linear system.
     """
-    if n_points < 0:
-        raise BadPointId(f"negative point count {n_points}")
+    if not _is_int(n_points) or n_points < 0:
+        raise BadPointId(f"point count must be a nonnegative integer, got {n_points!r}")
     norm: list[tuple[int, ...]] = []
     for idx, raw in enumerate(lines):
+        raw = tuple(raw)
+        # checked before deduplication: set() would merge True into 1
+        for p in raw:
+            if not (_is_int(p) and 0 <= p < n_points):
+                raise BadPointId(f"line {idx} contains invalid point id {p!r}")
         pts = tuple(sorted(set(raw)))
         if not pts:
             raise EmptyLine(f"line {idx} is empty")
-        for p in pts:
-            if not isinstance(p, int) or p < 0 or p >= n_points:
-                raise BadPointId(f"line {idx} contains invalid point id {p!r}")
         norm.append(pts)
     seen: dict[tuple[int, ...], int] = {}
     for idx, pts in enumerate(norm):
@@ -169,12 +176,12 @@ def new_linear_system(n_points: int, lines: Iterable[Iterable[int]]) -> LinearSy
 # ---------------------------------------------------------------------------
 
 def _check_point(sys: LinearSystem, p: int) -> None:
-    if not isinstance(p, int) or p < 0 or p >= sys.n_points:
+    if not (_is_int(p) and 0 <= p < sys.n_points):
         raise BadPointId(f"point id {p!r} out of range [0, {sys.n_points})")
 
 
 def _check_line(sys: LinearSystem, l: int) -> None:
-    if not isinstance(l, int) or l < 0 or l >= sys.n_lines:
+    if not (_is_int(l) and 0 <= l < sys.n_lines):
         raise BadLineIndex(f"line index {l!r} out of range [0, {sys.n_lines})")
 
 

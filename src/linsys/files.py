@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .core import LinearSystem, new_linear_system
+from .core import LinearSystem, _is_int, new_linear_system
 
 
 class InstanceFormatError(Exception):
@@ -48,13 +48,13 @@ def from_instance_dict(doc: dict) -> LinearSystem:
     if version != FORMAT_VERSION:
         raise InstanceFormatError(f"unsupported format_version {version!r}")
     n_points = doc.get("n_points")
-    if not isinstance(n_points, int) or n_points < 0:
+    if not _is_int(n_points) or n_points < 0:
         raise InstanceFormatError(f"n_points must be a nonnegative integer, got {n_points!r}")
     lines = doc.get("lines")
     if not isinstance(lines, list):
         raise InstanceFormatError("lines must be an array of arrays")
     for i, line in enumerate(lines):
-        if not isinstance(line, list) or not all(isinstance(p, int) for p in line):
+        if not isinstance(line, list) or not all(_is_int(p) for p in line):
             raise InstanceFormatError("each line must be an array of integers", i)
     return new_linear_system(n_points, lines)
 

@@ -11,15 +11,17 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
-    BadLineIndex,
-    BadPointId,
     LinearSystem,
     ThreeHypergraph,
     TooLarge,
+    _check_line,
+    _check_point,
+    _mask,
 )
 
 _ORACLE_MAX_POINTS = 20
 _ORACLE_MAX_LINES = 20
+_HYPERGRAPH_MAX_VERTICES = 13
 
 
 @dataclass(frozen=True)
@@ -43,25 +45,21 @@ def _point_cover_masks(sys: LinearSystem) -> list[int]:
 
 def is_transversal(sys: LinearSystem, points: set[int] | frozenset[int] | tuple[int, ...]) -> bool:
     """True iff every line contains at least one of the given points."""
-    pts = set(points)
+    pts = tuple(points)
     for p in pts:
-        if not isinstance(p, int) or p < 0 or p >= sys.n_points:
-            raise BadPointId(f"point id {p!r} out of range [0, {sys.n_points})")
-    pmask = 0
-    for p in pts:
-        pmask |= 1 << p
+        _check_point(sys, p)
+    pmask = _mask(pts)
     return all(m & pmask for m in sys.masks)
 
 
 def is_two_packing(sys: LinearSystem, line_indices) -> bool:
     """True iff no point lies on three of the chosen lines."""
-    idxs = sorted(set(line_indices))
+    idxs = tuple(line_indices)
     for l in idxs:
-        if not isinstance(l, int) or l < 0 or l >= sys.n_lines:
-            raise BadLineIndex(f"line index {l!r} out of range [0, {sys.n_lines})")
+        _check_line(sys, l)
     once = 0
     twice = 0
-    for l in idxs:
+    for l in set(idxs):
         m = sys.masks[l]
         if m & twice:
             return False
@@ -74,9 +72,13 @@ def transversal_number(sys: LinearSystem) -> Certificate:
     """Minimum transversal with the lexicographically smallest witness.
 
     Branch and bound: branch on an uncovered line of minimum size over its
-    points; the upper bound comes from a greedy max-coverage start and the
-    admissible lower bound from a greedy set of pairwise disjoint uncovered
-    lines (each needs its own point).  A second pass fixes the witness to the
+    points; the upper bound comes from a greedy max-coverage start.  The
+    admissible lower bound on the points still needed is the larger of two
+    counts over the uncovered lines: a greedy set of pairwise disjoint ones
+    (each needs its own point), and their number divided, rounded up, by the
+    most of them any one point covers.  The second count is what prunes
+    projective planes, where every two lines meet and the first is always 1.
+    A second pass, pruned by the same bound, fixes the witness to the
     lexicographically least minimum transversal.
     """
     m = sys.n_lines
@@ -111,6 +113,10 @@ def transversal_number(sys: LinearSystem) -> Certificate:
                 cnt += 1
         return cnt
 
+    def lower_bound(uncovered: int) -> int:
+        most = max((c & uncovered).bit_count() for c in cover)
+        return max(disjoint_lb(uncovered), -(-uncovered.bit_count() // most))
+
     def pick_line(uncovered: int) -> int:
         best_i, best_s = -1, 1 << 30
         rest = uncovered
@@ -130,7 +136,7 @@ def transversal_number(sys: LinearSystem) -> Certificate:
             if depth < best:
                 best = depth
             return
-        if depth + disjoint_lb(uncovered) >= best:
+        if depth + lower_bound(uncovered) >= best:
             return
         i = pick_line(uncovered)
         for p in sys.lines[i]:
@@ -143,7 +149,7 @@ def transversal_number(sys: LinearSystem) -> Certificate:
         """Can the uncovered lines be hit with ``budget`` points of id >= lo?"""
         if uncovered == 0:
             return True
-        if budget <= 0 or disjoint_lb(uncovered) > budget:
+        if budget <= 0 or lower_bound(uncovered) > budget:
             return False
         i = pick_line(uncovered)
         for p in sys.lines[i]:
@@ -305,8 +311,10 @@ def chromatic_number_3h(h: ThreeHypergraph) -> int:
     correspondence.)
     """
     m = h.n_vertices
-    if m > 13:
-        raise TooLarge(f"chromatic cross-check limited to 13 vertices, got {m}")
+    if m > _HYPERGRAPH_MAX_VERTICES:
+        raise TooLarge(
+            f"chromatic cross-check limited to {_HYPERGRAPH_MAX_VERTICES} vertices, got {m}"
+        )
     if not h.edges and not h.disjoint_pairs:
         return 1 if m else 0
     # for vertex v, constraints whose other vertices all precede v

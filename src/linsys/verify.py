@@ -37,6 +37,9 @@ from .constructions import (
 from .files import from_instance_dict, to_instance_dict
 from .planarity import zykov_planar
 from .solvers import (
+    _HYPERGRAPH_MAX_VERTICES,
+    _ORACLE_MAX_LINES,
+    _ORACLE_MAX_POINTS,
     brute_force_transversal,
     brute_force_two_packing,
     chromatic_number_3h,
@@ -44,9 +47,6 @@ from .solvers import (
     transversal_number,
     two_packing_number,
 )
-
-_ORACLE_OK = (20, 20)           # revalidation guard (points, lines)
-_HYPERGRAPH_GUARD = 13          # chromatic cross-check vertex bound
 
 
 class HarnessError(Exception):
@@ -116,7 +116,7 @@ def _revalidated_counterexample(inst: Instance, description: str) -> dict:
     reloaded = from_instance_dict(doc)
     tau = transversal_number(reloaded).value
     nu2 = two_packing_number(reloaded).value
-    if reloaded.n_points <= _ORACLE_OK[0] and reloaded.n_lines <= _ORACLE_OK[1]:
+    if reloaded.n_points <= _ORACLE_MAX_POINTS and reloaded.n_lines <= _ORACLE_MAX_LINES:
         if brute_force_transversal(reloaded).value != tau:
             raise HarnessError(f"transversal solver/oracle mismatch on {inst.name}")
         if brute_force_two_packing(reloaded).value != nu2:
@@ -303,7 +303,7 @@ def check_hypergraph_correspondence(instances: list[Instance]) -> ClaimReport:
     )
     t0 = time.perf_counter()
     for inst in instances:
-        if inst.n_lines < 3 or inst.n_lines > _HYPERGRAPH_GUARD:
+        if inst.n_lines < 3 or inst.n_lines > _HYPERGRAPH_MAX_VERTICES:
             continue
         rep.instances_checked += 1
         h = three_hypergraph(inst.system)

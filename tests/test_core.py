@@ -48,6 +48,11 @@ def test_construct_rejects_two_shared_points():
 def test_construct_rejects_bad_ids_duplicates_and_empty():
     with pytest.raises(BadPointId):
         new_linear_system(3, [[0, 3]])
+    for bad in ([[0, True]], [[1, True]], [[True, 2]]):
+        with pytest.raises(BadPointId):
+            new_linear_system(3, bad)
+    with pytest.raises(BadPointId):
+        new_linear_system(True, [[0]])
     with pytest.raises(DuplicateLine):
         new_linear_system(4, [[0, 1], [2, 3], [1, 0]])
     with pytest.raises(EmptyLine):

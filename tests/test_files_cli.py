@@ -9,8 +9,10 @@ from linsys import (
     new_linear_system,
     save_instance,
 )
+from linsys import cli
 from linsys.cli import main
 from linsys.files import InstanceFormatError, from_instance_dict, to_instance_dict
+from linsys.verify import HarnessError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -44,6 +46,13 @@ def test_malformed_inputs(tmp_path):
     with pytest.raises(InstanceFormatError) as exc:
         from_instance_dict({"format_version": 1, "n_points": 3, "lines": [[0], ["x"]]})
     assert exc.value.line_index == 1
+    # JSON true is a bool, not a point id or count
+    with pytest.raises(InstanceFormatError):
+        from_instance_dict(
+            {"format_version": 1, "n_points": 3, "lines": [[0, True], [True, 2]]}
+        )
+    with pytest.raises(InstanceFormatError):
+        from_instance_dict({"format_version": 1, "n_points": True, "lines": [[0]]})
 
     nonlinear = tmp_path / "nonlinear.json"
     nonlinear.write_text(
@@ -120,6 +129,27 @@ def test_cli_planarity_planar_instance(tmp_path, capsys):
     assert doc["planar"] is True and "embedding" in doc
     assert main(["planarity", str(path), "--format", "text"]) == 0
     assert "planar" in capsys.readouterr().out
+
+
+def test_cli_planarity_invalid_certificate(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "disjoint.json"
+    save_instance(path, new_linear_system(6, [[0, 1, 2], [3, 4, 5]]))
+    monkeypatch.setattr(cli, "validate_verdict", lambda graph, verdict: False)
+    assert main(["planarity", str(path)]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certificate failed validation" in captured.err
+
+
+def test_cli_verify_harness_error(tmp_path, capsys, monkeypatch):
+    def run_all(config):
+        raise HarnessError("transversal solver/oracle mismatch on x")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    out_dir = tmp_path / "report"
+    assert main(["verify", "--out", str(out_dir)]) == cli.EXIT_INTERNAL
+    assert "solver/oracle mismatch" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_enumerate_c44_summary(capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from linsys import (
     is_two_packing,
     max_degree,
     new_linear_system,
+    projective_plane,
     random_linear_system,
     three_hypergraph,
     transversal_number,
@@ -37,6 +39,8 @@ def test_is_transversal_examples(pi3, c34):
         assert is_transversal(pi3, set(line))  # every plane line pierces all
     with pytest.raises(BadPointId):
         is_transversal(c34, {0, 99})
+    with pytest.raises(BadPointId):
+        is_transversal(c34, {True})
 
 
 def test_is_two_packing_examples(c34):
@@ -47,6 +51,8 @@ def test_is_two_packing_examples(c34):
     assert is_two_packing(concurrent, set())
     with pytest.raises(BadLineIndex):
         is_two_packing(c34, {0, 8})
+    with pytest.raises(BadLineIndex):
+        is_two_packing(c34, {True})
 
 
 def test_transversal_number_named(pi3, c34):
@@ -57,6 +63,21 @@ def test_transversal_number_named(pi3, c34):
     assert transversal_number(new_linear_system(3, [[0, 1, 2]])).value == 1
     empty = transversal_number(new_linear_system(5, []))
     assert empty.value == 0 and empty.members == ()
+
+
+@pytest.mark.parametrize("q", (5, 7, 11))
+def test_transversal_number_on_planes(q):
+    # the disjoint-lines bound cannot prune a plane (every two lines meet),
+    # so these finish in time only through the counting bound
+    s = projective_plane(q).system
+    cert = transversal_number(s)
+    assert cert.value == q + 1
+    assert cert.members == tuple(range(q + 1))
+    assert is_transversal(s, cert.members)
+    # optimality past the brute-force guard: no point lies on more than
+    # max-degree lines, so at least n_lines / max-degree points are needed
+    degrees = Counter(p for line in s.lines for p in line)
+    assert math.ceil(s.n_lines / max(degrees.values())) == cert.value
 
 
 def test_two_packing_number_named(pi3, c34, pi2):
@@ -122,6 +143,21 @@ def test_solvers_agree_with_oracles_on_random_instances(seed):
     assert (max_degree(s) <= 2) == (p.value == s.n_lines)
     if s.n_lines > 2:
         assert (t.value == 1) == (p.value == 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_points=st.integers(12, 16),
+    n_lines=st.integers(8, 16),
+    seed=st.integers(0, 100_000),
+)
+def test_transversal_agrees_with_oracle_at_depth(n_points, n_lines, seed):
+    # tau reaches 5-7 here, so the pruning bounds act below the root too
+    try:
+        s = random_linear_system(n_points, n_lines, (2, 4), seed)
+    except GenerationExhausted:
+        return
+    assert transversal_number(s) == brute_force_transversal(s)
 
 
 def test_clique_number_named(pi3):

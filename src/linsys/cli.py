@@ -17,7 +17,7 @@ import json
 import sys as _sys
 from pathlib import Path
 
-from .core import LinearSystemError, max_degree, points_of_degree_at_least
+from .core import LinearSystemError, _degree_counts, max_degree, points_of_degree_at_least
 from .constructions import (
     NamedSystem,
     c34_explicit,
@@ -73,6 +73,13 @@ def _named_system(name: str) -> NamedSystem | list[NamedSystem]:
     )
 
 
+def _write_members(out_dir: Path, members) -> None:
+    """One instance file per family member, named by its index."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, ns in enumerate(members):
+        save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
         built = _named_system(args.name)
@@ -81,9 +88,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_BAD_PARAMS
     if isinstance(built, list):
         out_dir = Path(args.out) if args.out else Path("c44")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, ns in enumerate(built):
-            save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
+        _write_members(out_dir, built)
         print(f"wrote {len(built)} systems to {out_dir}/")
         return EXIT_OK
     out = Path(args.out) if args.out else Path(args.name.replace(":", "") + ".json")
@@ -151,12 +156,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     sys_ = _load(args.instance)
     if sys_ is None:
         return EXIT_BAD_INSTANCE
-    degs = [0] * sys_.n_points
-    for line in sys_.lines:
-        for p in line:
-            degs[p] += 1
     deg_hist: dict[int, int] = {}
-    for d in degs:
+    for d in _degree_counts(sys_):
         deg_hist[d] = deg_hist.get(d, 0) + 1
     size_hist: dict[int, int] = {}
     for line in sys_.lines:
@@ -223,9 +224,7 @@ def cmd_enumerate_c44(args: argparse.Namespace) -> int:
     members = enumerate_c44()
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, ns in enumerate(members):
-            save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
+        _write_members(out_dir, members)
         print(f"wrote {len(members)} members to {out_dir}/")
     else:
         doc = [

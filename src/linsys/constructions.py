@@ -19,6 +19,9 @@ from .core import (
     LinearSystemError,
     TooLarge,
     _canonical_key,
+    _from_residual_lines,
+    _mask,
+    _pair_line_index,
     embeds_as_subsystem,
     new_linear_system,
 )
@@ -174,20 +177,13 @@ def c34_from_pi3(k: int, l: int) -> NamedSystem:
         if i == l or k in line:
             continue
         residual.append(tuple(p for p in line if p not in drop_points))
-    covered = sorted({p for line in residual for p in line})
-    relabel = {old: new for new, old in enumerate(covered)}
-    system = new_linear_system(
-        len(covered), [tuple(relabel[p] for p in line) for line in residual]
-    )
+    system, _ = _from_residual_lines(residual)
     return NamedSystem("c34", system, (("q", 3), ("k", k), ("l", l)))
 
 
 def find_triangles(sys: LinearSystem) -> list[Triangle]:
     """All triples of non-collinear points whose three joining lines exist."""
-    pair_line: dict[tuple[int, int], int] = {}
-    for i, line in enumerate(sys.lines):
-        for u, v in itertools.combinations(line, 2):
-            pair_line[(u, v)] = i
+    pair_line = _pair_line_index(sys)
     out = []
     for a, b, c in itertools.combinations(range(sys.n_points), 3):
         ab = pair_line.get((a, b))
@@ -208,27 +204,17 @@ def triangle_delete(host: NamedSystem | LinearSystem, t: Triangle) -> NamedSyste
     isomorphism, whatever triangle is chosen.
     """
     sys = host.system if isinstance(host, NamedSystem) else host
-    a, b, c = t.vertices
-    pair_line: dict[tuple[int, int], int] = {}
-    for i, line in enumerate(sys.lines):
-        for u, v in itertools.combinations(line, 2):
-            pair_line[(u, v)] = i
-    want = {pair_line.get(tuple(sorted((a, b)))), pair_line.get(tuple(sorted((a, c)))),
-            pair_line.get(tuple(sorted((b, c))))}
+    pair_line = _pair_line_index(sys)
+    want = {pair_line.get(pair) for pair in itertools.combinations(sorted(t.vertices), 2)}
     if None in want or len(want) != 3 or want != set(t.sides):
         raise NotATriangle(f"{t} is not a triangle of this system")
     drop_points = set(t.vertices)
-    residual = []
-    for i, line in enumerate(sys.lines):
-        if i in want:
-            continue
-        residual.append(tuple(p for p in line if p not in drop_points))
-    residual = [line for line in residual if line]
-    covered = sorted({p for line in residual for p in line})
-    relabel = {old: new for new, old in enumerate(covered)}
-    system = new_linear_system(
-        len(covered), [tuple(relabel[p] for p in line) for line in residual]
-    )
+    residual = [
+        tuple(p for p in line if p not in drop_points)
+        for i, line in enumerate(sys.lines)
+        if i not in want
+    ]
+    system, _ = _from_residual_lines(residual)
     return NamedSystem(
         "c", system, (("vertices", t.vertices), ("sides", t.sides))
     )
@@ -373,9 +359,7 @@ def random_linear_system(
         pts = tuple(sorted(rng.sample(range(n_points), size)))
         if pts in lineset:
             continue
-        m = 0
-        for p in pts:
-            m |= 1 << p
+        m = _mask(pts)
         if any((m & em).bit_count() > 1 for em in masks):
             continue
         lines.append(pts)

@@ -192,21 +192,22 @@ def degree(sys: LinearSystem, p: int) -> int:
     return sum(1 for m in sys.masks if m & bit)
 
 
-def max_degree(sys: LinearSystem) -> int:
-    """Largest point degree; 0 for a system without incidences."""
+def _degree_counts(sys: LinearSystem) -> list[int]:
+    """The degree of every point, indexed by point id."""
     counts = [0] * sys.n_points
     for line in sys.lines:
         for p in line:
             counts[p] += 1
-    return max(counts, default=0)
+    return counts
+
+
+def max_degree(sys: LinearSystem) -> int:
+    """Largest point degree; 0 for a system without incidences."""
+    return max(_degree_counts(sys), default=0)
 
 
 def points_of_degree_at_least(sys: LinearSystem, k: int) -> frozenset[int]:
-    counts = [0] * sys.n_points
-    for line in sys.lines:
-        for p in line:
-            counts[p] += 1
-    return frozenset(p for p, c in enumerate(counts) if c >= k)
+    return frozenset(p for p, c in enumerate(_degree_counts(sys)) if c >= k)
 
 
 def lines_through(sys: LinearSystem, p: int) -> frozenset[int]:
@@ -272,14 +273,19 @@ def prune_low_degree(sys: LinearSystem) -> tuple[LinearSystem, dict[int, int]]:
     single sweep suffices; lines shrink accordingly and emptied lines are
     dropped.
     """
-    counts = [0] * sys.n_points
-    for line in sys.lines:
-        for p in line:
-            counts[p] += 1
-    keep = [p for p in range(sys.n_points) if counts[p] >= 2]
-    keepset = set(keep)
+    counts = _degree_counts(sys)
+    keepset = {p for p in range(sys.n_points) if counts[p] >= 2}
     residual = [tuple(q for q in line if q in keepset) for line in sys.lines]
     return _from_residual_lines(residual)
+
+
+def _pair_line_index(sys: LinearSystem) -> dict[tuple[int, int], int]:
+    """The line through each joined point pair ``(u, v)``, with ``u < v``."""
+    index: dict[tuple[int, int], int] = {}
+    for i, line in enumerate(sys.lines):
+        for pair in itertools.combinations(line, 2):
+            index[pair] = i
+    return index
 
 
 def three_hypergraph(sys: LinearSystem) -> ThreeHypergraph:
@@ -410,11 +416,10 @@ def _canonical_search(
     return best_enc, best_lab
 
 
-def _canonical_key(sys: LinearSystem, prune: bool = True) -> tuple:
-    """Hashable isomorphism-class key; with ``prune`` it matches the public
-    canonical form, without it degree-<=1 points count as structure."""
-    target = prune_low_degree(sys)[0] if prune else sys
-    enc, _ = _canonical_search(target.n_points, target.lines)
+def _canonical_key(sys: LinearSystem) -> tuple:
+    """Hashable isomorphism-class key, matching the public canonical form."""
+    pruned, _ = prune_low_degree(sys)
+    enc, _ = _canonical_search(pruned.n_points, pruned.lines)
     return enc
 
 
@@ -460,10 +465,7 @@ def embeds_as_subsystem(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
     if na == 0:
         return Embedding({}, {i: 0 for i in range(src.n_lines)}) if src.n_lines == 0 else None
 
-    pair_line: dict[tuple[int, int], int] = {}
-    for j, line in enumerate(b.lines):
-        for u, v in itertools.combinations(line, 2):
-            pair_line[(u, v)] = j
+    pair_line = _pair_line_index(b)
     host_masks = b.masks
     host_lines_through: list[list[int]] = [[] for _ in range(nb)]
     for j, line in enumerate(b.lines):

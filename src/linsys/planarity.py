@@ -1,9 +1,11 @@
 """Bipartite incidence graphs and certified planarity decisions.
 
-A non-planar incidence graph rules out any straight-line representation of
-the underlying system, so every verdict carries a checkable certificate: a
-rotation system validated against Euler's formula when planar, or a K5/K3,3
-subdivision when not.  The planarity decision itself delegates to networkx;
+Incidence-graph planarity is a proxy for straight-line representability,
+not a necessary condition for it: the 3x3 grid (three horizontal and three
+vertical segments) is a straight-line system with a non-planar incidence
+graph.  Every verdict carries a checkable certificate: a rotation system
+validated against Euler's formula when planar, or a K5/K3,3 subdivision
+when not.  The planarity decision itself delegates to networkx;
 witness extraction and certificate validation are independent of it.
 """
 
@@ -157,8 +159,8 @@ def is_planar(g: Graph) -> PlanarityVerdict:
 
 
 def zykov_planar(sys: LinearSystem) -> PlanarityVerdict:
-    """Planarity of the incidence graph; a non-planar verdict certifies that
-    the system has no straight-line representation in the plane."""
+    """Planarity of the incidence graph.  A non-planar verdict does not rule
+    out a straight-line representation: the 3x3 grid has one."""
     return is_planar(incidence_graph(sys))
 
 

@@ -15,11 +15,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, Iterable
 
 from .core import (
     LinearSystem,
     TooLarge,
     _canonical_key,
+    _mask,
     canonical_relabel,
     embeds_as_subsystem,
     max_degree,
@@ -130,229 +132,146 @@ def _revalidated_counterexample(inst: Instance, description: str) -> dict:
     }
 
 
-def _report(claim_id: str, statement: str) -> ClaimReport:
-    return ClaimReport(claim_id=claim_id, statement=statement)
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper as a check over instances.
+
+    ``applies`` selects the instances the claim counts, and ``violations``
+    yields one description per broken clause.  ``extremal``, when set, is
+    checked on every system of the equality family ahead of the corpus,
+    with no filter.  Both read :class:`Instance`'s lazy properties, so the
+    order of their conditions decides what gets computed.
+    """
+
+    claim_id: str
+    statement: str
+    applies: Callable[[Instance], bool]
+    violations: Callable[[Instance], Iterable[str]]
+    extremal: Callable[[Instance], Iterable[str]] | None = None
 
 
-def check_full_packing_iff_low_degree(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "full-packing-iff-max-degree-2",
-        "The maximum point degree is at most 2 exactly when the whole line "
-        "family is a 2-packing (nu2 equals the number of lines).",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        rep.instances_checked += 1
-        lhs = inst.delta <= 2
-        rhs = inst.nu2 == inst.n_lines
-        if lhs != rhs:
-            rep.counterexamples.append(
-                _revalidated_counterexample(
-                    inst, f"max degree {inst.delta} but nu2={inst.nu2} of {inst.n_lines} lines"
-                )
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+def _extremal_instances() -> list[Instance]:
+    """The systems attaining tau = nu2 = 4: c34 and the c44 family."""
+    out = [Instance("c34", c34_explicit().system)]
+    return out + [Instance(ns.name, ns.system) for ns in enumerate_c44()]
 
 
-def check_packing_two_forces_common_point(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "nu2-2-iff-tau-1",
-        "With more than two lines: nu2 = 2 forces a single point meeting every "
-        "line (tau = 1), and conversely tau = 1 forces nu2 = 2.",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        if inst.n_lines <= 2:
-            continue
-        hit = False
-        if inst.nu2 == 2:
-            hit = True
-            if inst.tau != 1:
-                rep.counterexamples.append(
-                    _revalidated_counterexample(inst, f"nu2=2 but tau={inst.tau}")
-                )
-        if inst.tau == 1:
-            hit = True
-            if inst.nu2 != 2:
-                rep.counterexamples.append(
-                    _revalidated_counterexample(inst, f"tau=1 but nu2={inst.nu2}")
-                )
-        if hit:
-            rep.instances_checked += 1
-    rep.wall_time = time.perf_counter() - t0
-    return rep
+def _classification_claim(extremals: list[Instance]) -> Claim:
+    pi3 = projective_plane(3).system
+    family_keys = {_canonical_key(inst.system) for inst in extremals}
 
+    def violations(inst: Instance) -> list[str]:
+        if inst.tau > 4:
+            return [f"nu2=4 but tau={inst.tau}"]
+        if inst.tau < 4:
+            return []
+        if embeds_as_subsystem(inst.system, pi3) is None:
+            return ["tau=nu2=4 but no embedding into the order-3 plane"]
+        if _canonical_key(inst.system) not in family_keys:
+            return ["tau=nu2=4 but not isomorphic to a known extremal system"]
+        return []
 
-def check_packing_three_forces_tau_two(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "nu2-3-forces-tau-2",
-        "With more than three lines, nu2 = 3 forces tau = 2.",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        if inst.nu2 != 3 or inst.n_lines <= 3:
-            continue
-        rep.instances_checked += 1
-        if inst.tau != 2:
-            rep.counterexamples.append(
-                _revalidated_counterexample(inst, f"nu2=3, {inst.n_lines} lines, tau={inst.tau}")
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
-def check_high_degree_packing_four(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "nu2-4-delta-ge-5-tau-le-3",
-        "nu2 = 4 together with a point of degree at least 5 forces tau <= 3.",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        if inst.nu2 != 4 or inst.delta < 5:
-            continue
-        rep.instances_checked += 1
-        if inst.tau > 3:
-            rep.counterexamples.append(
-                _revalidated_counterexample(inst, f"nu2=4, delta={inst.delta}, tau={inst.tau}")
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
-def check_packing_four_classification(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
+    return Claim(
         "nu2-4-tau-le-4-extremal-classification",
         "With more than four lines, nu2 = 4 forces tau <= 4; every system "
         "attaining tau = 4 embeds in the order-3 projective plane and is "
         "isomorphic to the 8/8 extremal system or to a member of the "
         "enumerated c44 family.",
+        lambda i: i.nu2 == 4 and i.n_lines > 4,
+        violations,
     )
+
+
+def _hypergraph_violations(inst: Instance) -> list[str]:
+    h = three_hypergraph(inst.system)
+    omega = clique_number_3h(h)
+    chi = chromatic_number_3h(h)
+    if omega != inst.nu2 or chi != inst.tau:
+        return [f"clique={omega} vs nu2={inst.nu2}, chromatic={chi} vs tau={inst.tau}"]
+    return []
+
+
+def _sandwich_violations(inst: Instance) -> list[str]:
+    lo = math.ceil(inst.nu2 / 2)
+    hi = inst.nu2 * (inst.nu2 - 1) // 2
+    if lo <= inst.tau <= hi:
+        return []
+    return [f"tau={inst.tau} outside [{lo}, {hi}] for nu2={inst.nu2}"]
+
+
+def _claims(extremals: list[Instance]) -> tuple[Claim, ...]:
+    """Every claim, in report order."""
+    return (
+        Claim(
+            "full-packing-iff-max-degree-2",
+            "The maximum point degree is at most 2 exactly when the whole line "
+            "family is a 2-packing (nu2 equals the number of lines).",
+            lambda i: True,
+            lambda i: [] if (i.delta <= 2) == (i.nu2 == i.n_lines)
+            else [f"max degree {i.delta} but nu2={i.nu2} of {i.n_lines} lines"],
+        ),
+        Claim(
+            "nu2-2-iff-tau-1",
+            "With more than two lines: nu2 = 2 forces a single point meeting every "
+            "line (tau = 1), and conversely tau = 1 forces nu2 = 2.",
+            lambda i: i.n_lines > 2 and (i.nu2 == 2 or i.tau == 1),
+            lambda i: [] if (i.nu2 == 2) == (i.tau == 1)
+            else [f"nu2=2 but tau={i.tau}" if i.nu2 == 2 else f"tau=1 but nu2={i.nu2}"],
+        ),
+        Claim(
+            "nu2-3-forces-tau-2",
+            "With more than three lines, nu2 = 3 forces tau = 2.",
+            lambda i: i.nu2 == 3 and i.n_lines > 3,
+            lambda i: [] if i.tau == 2 else [f"nu2=3, {i.n_lines} lines, tau={i.tau}"],
+        ),
+        Claim(
+            "nu2-4-delta-ge-5-tau-le-3",
+            "nu2 = 4 together with a point of degree at least 5 forces tau <= 3.",
+            lambda i: i.nu2 == 4 and i.delta >= 5,
+            lambda i: [] if i.tau <= 3 else [f"nu2=4, delta={i.delta}, tau={i.tau}"],
+        ),
+        _classification_claim(extremals),
+        Claim(
+            "planar-nu2-234-tau-strictly-below",
+            "Every system whose incidence graph is planar, with nu2 in {2,3,4} and "
+            "more lines than nu2, satisfies tau <= nu2 - 1; the systems attaining "
+            "tau = nu2 = 4 all have non-planar incidence graphs.",
+            # planarity last: it dominates the harness's time
+            lambda i: i.nu2 in (2, 3, 4) and i.n_lines > i.nu2 and i.planar,
+            lambda i: [] if i.tau <= i.nu2 - 1
+            else [f"planar incidence graph, nu2={i.nu2}, tau={i.tau}"],
+            extremal=lambda i: ["extremal system has planar incidence graph"] if i.planar else [],
+        ),
+        Claim(
+            "three-hypergraph-correspondence",
+            "On the 3-hypergraph whose vertices are the lines and whose edges are "
+            "the triples with empty intersection: the clique number equals nu2 and "
+            "the chromatic number equals tau (checked within the small-instance "
+            "guard).",
+            lambda i: 3 <= i.n_lines <= _HYPERGRAPH_MAX_VERTICES,
+            _hypergraph_violations,
+        ),
+        Claim(
+            "tau-nu2-sandwich",
+            "For nu2 >= 2 and more lines than nu2: ceil(nu2 / 2) <= tau <= "
+            "nu2 * (nu2 - 1) / 2.",
+            lambda i: i.nu2 >= 2 and i.n_lines > i.nu2,
+            _sandwich_violations,
+        ),
+    )
+
+
+def _run(claim: Claim, instances: list[Instance], extremals: list[Instance]) -> ClaimReport:
+    rep = ClaimReport(claim_id=claim.claim_id, statement=claim.statement)
     t0 = time.perf_counter()
-    pi3 = projective_plane(3).system
-    family_keys = {_canonical_key(ns.system) for ns in enumerate_c44()}
-    family_keys.add(_canonical_key(c34_explicit().system))
-    for inst in instances:
-        if inst.nu2 != 4 or inst.n_lines <= 4:
-            continue
+    extremal = [(inst, claim.extremal) for inst in extremals] if claim.extremal else []
+    corpus = ((inst, claim.violations) for inst in instances if claim.applies(inst))
+    for inst, violations in itertools.chain(extremal, corpus):
         rep.instances_checked += 1
-        if inst.tau > 4:
-            rep.counterexamples.append(
-                _revalidated_counterexample(inst, f"nu2=4 but tau={inst.tau}")
-            )
-            continue
-        if inst.tau == 4:
-            if embeds_as_subsystem(inst.system, pi3) is None:
-                rep.counterexamples.append(
-                    _revalidated_counterexample(
-                        inst, "tau=nu2=4 but no embedding into the order-3 plane"
-                    )
-                )
-            elif _canonical_key(inst.system) not in family_keys:
-                rep.counterexamples.append(
-                    _revalidated_counterexample(
-                        inst, "tau=nu2=4 but not isomorphic to a known extremal system"
-                    )
-                )
+        for description in violations(inst):
+            rep.counterexamples.append(_revalidated_counterexample(inst, description))
     rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def check_planar_systems_strict_bound(instances: list[Instance]) -> ClaimReport:
-    """Planarity of the incidence graph is necessary for a straight-line
-    representation, so the strict bound is checked on the planar class; the
-    enumerated equality family must itself be non-planar."""
-    rep = _report(
-        "planar-nu2-234-tau-strictly-below",
-        "Every system whose incidence graph is planar, with nu2 in {2,3,4} and "
-        "more lines than nu2, satisfies tau <= nu2 - 1; the systems attaining "
-        "tau = nu2 = 4 all have non-planar incidence graphs.",
-    )
-    t0 = time.perf_counter()
-    extremals = [Instance("c34", c34_explicit().system)]
-    extremals += [Instance(ns.name, ns.system) for ns in enumerate_c44()]
-    for inst in extremals:
-        rep.instances_checked += 1
-        if inst.planar:
-            rep.counterexamples.append(
-                _revalidated_counterexample(inst, "extremal system has planar incidence graph")
-            )
-    for inst in instances:
-        if inst.nu2 not in (2, 3, 4) or inst.n_lines <= inst.nu2:
-            continue
-        if not inst.planar:
-            continue
-        rep.instances_checked += 1
-        if inst.tau > inst.nu2 - 1:
-            rep.counterexamples.append(
-                _revalidated_counterexample(
-                    inst, f"planar incidence graph, nu2={inst.nu2}, tau={inst.tau}"
-                )
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
-def check_hypergraph_correspondence(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "three-hypergraph-correspondence",
-        "On the 3-hypergraph whose vertices are the lines and whose edges are "
-        "the triples with empty intersection: the clique number equals nu2 and "
-        "the chromatic number equals tau (checked within the small-instance "
-        "guard).",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        if inst.n_lines < 3 or inst.n_lines > _HYPERGRAPH_MAX_VERTICES:
-            continue
-        rep.instances_checked += 1
-        h = three_hypergraph(inst.system)
-        omega = clique_number_3h(h)
-        chi = chromatic_number_3h(h)
-        if omega != inst.nu2 or chi != inst.tau:
-            rep.counterexamples.append(
-                _revalidated_counterexample(
-                    inst,
-                    f"clique={omega} vs nu2={inst.nu2}, chromatic={chi} vs tau={inst.tau}",
-                )
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
-def check_sandwich_inequality(instances: list[Instance]) -> ClaimReport:
-    rep = _report(
-        "tau-nu2-sandwich",
-        "For nu2 >= 2 and more lines than nu2: ceil(nu2 / 2) <= tau <= "
-        "nu2 * (nu2 - 1) / 2.",
-    )
-    t0 = time.perf_counter()
-    for inst in instances:
-        if inst.nu2 < 2 or inst.n_lines <= inst.nu2:
-            continue
-        rep.instances_checked += 1
-        lo = math.ceil(inst.nu2 / 2)
-        hi = inst.nu2 * (inst.nu2 - 1) // 2
-        if not (lo <= inst.tau <= hi):
-            rep.counterexamples.append(
-                _revalidated_counterexample(
-                    inst, f"tau={inst.tau} outside [{lo}, {hi}] for nu2={inst.nu2}"
-                )
-            )
-    rep.wall_time = time.perf_counter() - t0
-    return rep
-
-
-ALL_CHECKS = (
-    check_full_packing_iff_low_degree,
-    check_packing_two_forces_common_point,
-    check_packing_three_forces_tau_two,
-    check_high_degree_packing_four,
-    check_packing_four_classification,
-    check_planar_systems_strict_bound,
-    check_hypergraph_correspondence,
-    check_sandwich_inequality,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +393,7 @@ def exhaustive_small(
                     if sys.n_points + fresh > max_points or reuse > sys.n_points:
                         continue
                     for base in itertools.combinations(range(sys.n_points), reuse):
-                        bmask = 0
-                        for p in base:
-                            bmask |= 1 << p
+                        bmask = _mask(base)
                         if any((bmask & m).bit_count() > 1 for m in sys.masks):
                             continue
                         newline = base + tuple(
@@ -522,15 +439,17 @@ def run_all(config: VerifyConfig | None = None) -> list[ClaimReport]:
             instances.append(Instance(f"exhaustive-{i}", sys))
     if config.n_random > 0:
         instances.extend(random_instances(config.seed, config.n_random))
-    return [check(instances) for check in ALL_CHECKS]
+    extremals = _extremal_instances()
+    return [_run(claim, instances, extremals) for claim in _claims(extremals)]
 
 
 _REPORT_PREFACE = (
     "Straight-line representability cannot be decided directly at this "
     "scale; the harness instead checks the strict bound on every instance "
-    "whose incidence graph is planar, a necessary condition that covers a "
-    "strictly larger class, and separately certifies that the equality "
-    "family fails that condition."
+    "whose incidence graph is planar, and separately certifies that the "
+    "equality family is non-planar. Planarity is only a proxy: it is not a "
+    "necessary condition, since the 3x3 grid is a straight-line system with "
+    "a non-planar incidence graph."
 )
 
 

@@ -96,6 +96,11 @@ def test_triangle_delete(pi3, c_sys):
     assert is_isomorphic(ns.system, c_sys)
     with pytest.raises(NotATriangle):
         triangle_delete(projective_plane(3), Triangle((0, 1, 2), (0, 1, 2)))
+    # in K4 the three lines off the triangle all shrink to the fourth point;
+    # equal residuals merge, as in delete_point
+    k4 = new_linear_system(4, itertools.combinations(range(4), 2))
+    ns = triangle_delete(k4, Triangle((0, 1, 2), (0, 1, 3)))
+    assert ns.system.n_points == 1 and ns.system.lines == ((0,),)
 
 
 def _c_remark_bullets(s):

@@ -165,6 +165,11 @@ def test_cli_enumerate_c44(tmp_path, capsys):
     files = sorted(out_dir.glob("member_*.json"))
     assert len(files) == 8
     assert load_instance(files[0]).n_lines >= 10
+    constructed = tmp_path / "constructed"
+    assert main(["construct", "c44", "--out", str(constructed)]) == 0
+    assert sorted(p.name for p in constructed.iterdir()) == [f.name for f in files]
+    for f in files:
+        assert (constructed / f.name).read_bytes() == f.read_bytes()
 
 
 def test_cli_verify_quick(tmp_path, capsys):

@@ -72,6 +72,17 @@ def test_c34_incidence_graph_not_planar(c34):
     assert validate_verdict(incidence_graph(c34), v)
 
 
+def test_grid_is_a_straight_line_system_with_non_planar_incidence_graph():
+    # three horizontal and three vertical segments meeting in 9 points: a
+    # straight-line system, so a non-planar verdict does not rule one out
+    rows = [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(3)]
+    cols = [[c, c + 3, c + 6] for c in range(3)]
+    grid = new_linear_system(9, rows + cols)
+    v = zykov_planar(grid)
+    assert not v.planar and v.witness.kind == "K33"
+    assert validate_verdict(incidence_graph(grid), v)
+
+
 def test_disjoint_lines_planar():
     s = new_linear_system(9, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
     v = zykov_planar(s)

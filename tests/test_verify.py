@@ -1,7 +1,18 @@
+import itertools
+
 import pytest
 
-from linsys import TooLarge, exhaustive_small, new_linear_system, run_all
-from linsys.core import _canonical_key
+from linsys import (
+    NamedSystem,
+    TooLarge,
+    canonical_relabel,
+    exhaustive_small,
+    induced_subsystem,
+    new_linear_system,
+    projective_plane,
+    run_all,
+)
+from linsys import verify
 from linsys.verify import (
     Instance,
     VerifyConfig,
@@ -30,7 +41,7 @@ def test_exhaustive_small_two_uniform_matches_known_graph_counts():
 
 def test_exhaustive_small_no_isomorphic_duplicates():
     out = exhaustive_small(6, 4, (2, 3))
-    keys = [_canonical_key(s, prune=False) for s in out]
+    keys = [(c.n_points, c.lines) for c in map(canonical_relabel, out)]
     assert len(keys) == len(set(keys))
     assert all(s.n_points == len({p for l in s.lines for p in l}) for s in out)
 
@@ -46,6 +57,16 @@ def test_run_all_passes_and_is_deterministic():
     config = VerifyConfig(seed=3, n_random=40, exhaustive_bounds=(6, 4))
     reports = run_all(config)
     assert all(r.passed for r in reports)
+    assert [(r.claim_id, r.instances_checked) for r in reports] == [
+        ("full-packing-iff-max-degree-2", 141),
+        ("nu2-2-iff-tau-1", 8),
+        ("nu2-3-forces-tau-2", 28),
+        ("nu2-4-delta-ge-5-tau-le-3", 2),
+        ("nu2-4-tau-le-4-extremal-classification", 26),
+        ("planar-nu2-234-tau-strictly-below", 53),
+        ("three-hypergraph-correspondence", 126),
+        ("tau-nu2-sandwich", 83),
+    ]
     again = run_all(VerifyConfig(seed=3, n_random=40, exhaustive_bounds=(6, 4)))
     assert [(r.claim_id, r.instances_checked, r.counterexamples) for r in reports] == [
         (r.claim_id, r.instances_checked, r.counterexamples) for r in again
@@ -87,3 +108,69 @@ def test_counterexample_revalidation_roundtrip():
     assert ce["violation"] == "probe record"
     assert ce["tau"] == 2 and ce["nu2"] == 3
     assert ce["instance"]["lines"] == [[0, 1], [1, 2], [2, 3]]
+
+
+def _pinned(name, system, tau, nu2, planar):
+    inst = Instance(name, system)
+    inst.__dict__.update(tau=tau, nu2=nu2, planar=planar)
+    return inst
+
+
+def test_forced_violations_per_claim(monkeypatch):
+    """Pinned tau, nu2 and planarity values break every clause of every
+    claim; each claim must count and describe exactly these violations."""
+    hexagon = new_linear_system(6, [[i, (i + 1) % 6] for i in range(6)])
+    star5 = new_linear_system(11, [[0, 2 * i + 1, 2 * i + 2] for i in range(5)])
+    star4 = new_linear_system(5, [[0, i] for i in range(1, 5)])
+    k5 = new_linear_system(5, itertools.combinations(range(5), 2))
+    five_plane_lines = induced_subsystem(projective_plane(3).system, range(5))[0]
+    corpus = [
+        _pinned("cycle", hexagon, tau=3, nu2=5, planar=False),
+        _pinned("star5", star5, tau=5, nu2=4, planar=True),
+        _pinned("tail", new_linear_system(4, [[0, 1], [0, 2], [1, 2], [0, 3]]), 4, 4, False),
+        _pinned("triangle", new_linear_system(3, [[0, 1], [0, 2], [1, 2]]), 2, 2, False),
+        _pinned("star4", star4, tau=1, nu2=3, planar=True),
+        _pinned("k5", k5, tau=4, nu2=4, planar=False),
+        _pinned("plane-lines", five_plane_lines, tau=4, nu2=4, planar=False),
+    ]
+    monkeypatch.setattr(verify, "fixture_instances", lambda: corpus)
+    # a planar stand-in for c34 breaks the extremal clause of the planar claim
+    monkeypatch.setattr(verify, "c34_explicit", lambda: NamedSystem("c34", hexagon))
+    reports = run_all(VerifyConfig(n_random=0, exhaustive_bounds=None))
+    got = [
+        (r.claim_id, r.instances_checked, [ce["violation"] for ce in r.counterexamples])
+        for r in reports
+    ]
+    assert got == [
+        ("full-packing-iff-max-degree-2", 7, [
+            "max degree 2 but nu2=5 of 6 lines",
+            "max degree 3 but nu2=4 of 4 lines",
+            "max degree 2 but nu2=2 of 3 lines",
+        ]),
+        ("nu2-2-iff-tau-1", 2, ["nu2=2 but tau=2", "tau=1 but nu2=3"]),
+        ("nu2-3-forces-tau-2", 1, ["nu2=3, 4 lines, tau=1"]),
+        ("nu2-4-delta-ge-5-tau-le-3", 1, ["nu2=4, delta=5, tau=5"]),
+        ("nu2-4-tau-le-4-extremal-classification", 3, [
+            "nu2=4 but tau=5",
+            "tau=nu2=4 but no embedding into the order-3 plane",
+            "tau=nu2=4 but not isomorphic to a known extremal system",
+        ]),
+        # c34's stand-in and the 8 c44 members count whatever their nu2
+        ("planar-nu2-234-tau-strictly-below", 11, [
+            "extremal system has planar incidence graph",
+            "planar incidence graph, nu2=4, tau=5",
+        ]),
+        ("three-hypergraph-correspondence", 7, [
+            "clique=6 vs nu2=5, chromatic=3 vs tau=3",
+            "clique=2 vs nu2=4, chromatic=1 vs tau=5",
+            "clique=3 vs nu2=4, chromatic=2 vs tau=4",
+            "clique=3 vs nu2=2, chromatic=2 vs tau=2",
+            "clique=2 vs nu2=3, chromatic=1 vs tau=1",
+            "clique=5 vs nu2=4, chromatic=4 vs tau=4",
+            "clique=3 vs nu2=4, chromatic=2 vs tau=4",
+        ]),
+        ("tau-nu2-sandwich", 6, [
+            "tau=2 outside [1, 1] for nu2=2",
+            "tau=1 outside [2, 3] for nu2=3",
+        ]),
+    ]

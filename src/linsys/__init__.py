@@ -72,6 +72,7 @@ from .planarity import (
     incidence_graph,
     is_planar,
     new_graph,
+    planar,
     validate_verdict,
     zykov_planar,
 )

@@ -5,8 +5,8 @@ not a necessary condition for it: the 3x3 grid (three horizontal and three
 vertical segments) is a straight-line system with a non-planar incidence
 graph.  Every verdict carries a checkable certificate: a rotation system
 validated against Euler's formula when planar, or a K5/K3,3 subdivision
-when not.  The planarity decision itself delegates to networkx;
-witness extraction and certificate validation are independent of it.
+when not.  The planarity decision, and each test of the witness search,
+delegates to networkx; certificate validation is independent of it.
 """
 
 from __future__ import annotations
@@ -133,23 +133,98 @@ def _decompose_subdivision(edges: set[tuple[int, int]]) -> KuratowskiWitness:
     return KuratowskiWitness(kind, tuple(branch), paths)
 
 
+def _two_core(edges) -> dict[int, set[int]]:
+    """Adjacency of the 2-core: vertices of degree below 2 are stripped until
+    none is left."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    # a vertex is stacked once: at the start, or when its degree drops to 1
+    stack = [v for v, nbrs in adj.items() if len(nbrs) < 2]
+    while stack:
+        v = stack.pop()
+        for u in adj.pop(v):
+            nbrs = adj[u]
+            nbrs.discard(v)
+            if len(nbrs) == 1:
+                stack.append(u)
+    return adj
+
+
+def _planar_edges(edges, bipartite: bool) -> bool:
+    """Planarity of an edge set.  Counting on its 2-core decides the easy
+    cases; networkx decides the rest."""
+    core = _two_core(edges)
+    if sum(len(nbrs) >= 3 for nbrs in core.values()) < 5:
+        return True
+    n_edges = sum(len(nbrs) for nbrs in core.values()) // 2
+    if n_edges > (2 * len(core) - 4 if bipartite else 3 * len(core) - 6):
+        return False
+    g = nx.Graph()
+    g.add_edges_from((u, v) for u, nbrs in core.items() for v in nbrs if u < v)
+    return nx.check_planarity(g)[0]
+
+
 def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
-    """Reduce a non-planar graph to an edge-minimal non-planar subgraph by
-    deterministic deletion, which by Kuratowski's theorem is a K5 or K3,3
-    subdivision."""
+    """Reduce a non-planar graph to an edge-minimal non-planar subgraph,
+    which by Kuratowski's theorem is a K5 or K3,3 subdivision.
+
+    The kept edges are those of the greedy pass over ``sorted(g.edges)``
+    that deletes each edge whose deletion leaves the graph non-planar.  The
+    pass is run in galloping blocks of 1, 2, 4, ... edges.  Adding edges
+    keeps a graph non-planar, so when deleting a whole block leaves it
+    non-planar, the greedy pass would delete every edge of the block one at
+    a time.  When it leaves the graph planar, a binary search finds the
+    first edge of the block that the greedy pass keeps; the edges before it
+    go, and the blocks restart at size 1 after it.
+
+    Each test first strips the edge set to its 2-core, which keeps every
+    K5 or K3,3 subdivision, since those have minimum degree 2.  Such a
+    subdivision has at least 5 branch vertices of degree at least 3, so a
+    2-core with fewer is planar.  A simple planar graph on V >= 3 vertices
+    has at most 3V - 6 edges, and at most 2V - 4 when it has no triangle,
+    as a subgraph of a bipartite graph has none; more edges than that is
+    non-planar.  Only the tests these counts leave open reach networkx.
+    """
+    bipartite = g.bipartition is not None
+    order = sorted(g.edges)
     work = set(g.edges)
-    for e in sorted(g.edges):
-        trial = work - {e}
-        ok, _ = nx.check_planarity(_to_nx(g.n_vertices, trial))
-        if not ok:
-            work = trial
+
+    def planar_without(lo: int, hi: int) -> bool:
+        return _planar_edges(work.difference(order[lo:hi]), bipartite)
+
+    i, block = 0, 1
+    while i < len(order):
+        end = min(i + block, len(order))
+        if not planar_without(i, end):
+            work.difference_update(order[i:end])
+            i, block = end, 2 * block
+            continue
+        # deleting order[i:lo] leaves work non-planar, order[i:hi] planar
+        lo, hi = i, end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if planar_without(i, mid):
+                hi = mid
+            else:
+                lo = mid
+        work.difference_update(order[i:lo])  # order[lo] stays
+        i, block = lo + 1, 1
     return _decompose_subdivision(work)
+
+
+def planar(g: Graph) -> bool:
+    """Yes/no planarity from one networkx call, with no certificate; for
+    filters that keep no witness."""
+    return nx.check_planarity(_to_nx(g.n_vertices, g.edges))[0]
 
 
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide planarity with a certificate either way: a rotation system
     (cyclic neighbor order per vertex) when planar, a Kuratowski subdivision
     when not."""
+    # one networkx call gives both the answer and the rotation system
     ok, emb = nx.check_planarity(_to_nx(g.n_vertices, g.edges))
     if ok:
         data = emb.get_data()

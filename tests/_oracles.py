@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
+
 from linsys import LinearSystem, prune_low_degree
-from linsys.planarity import Graph
+from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
 
 
 def brute_isomorphic(a: LinearSystem, b: LinearSystem, prune: bool = True) -> bool:
@@ -103,3 +105,20 @@ def brute_planar(g: Graph) -> bool:
             if _pack_paths(adj, pairs, set(six), set()):
                 return False
     return True
+
+
+def greedy_kuratowski_witness(g: Graph) -> KuratowskiWitness:
+    """Reference for ``_kuratowski_witness``: the one-edge-at-a-time greedy
+    pass, one networkx planarity test per edge of ``sorted(g.edges)``, each
+    edge deleted when the graph stays non-planar without it.  Only the
+    deletion differs from the main code; the split into branch vertices and
+    paths is shared."""
+    work = set(g.edges)
+    for e in sorted(g.edges):
+        trial = work - {e}
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n_vertices))
+        nxg.add_edges_from(trial)
+        if not nx.check_planarity(nxg)[0]:
+            work = trial
+    return _decompose_subdivision(work)

@@ -1,22 +1,31 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from linsys import (
     GraphError,
     KuratowskiWitness,
     PlanarityVerdict,
+    enumerate_c44,
     incidence_graph,
     induced_subsystem,
     is_planar,
     new_graph,
     new_linear_system,
+    planar,
+    projective_plane,
+    transversal_number,
+    two_packing_number,
     validate_verdict,
     zykov_planar,
 )
+from linsys import verify
+from linsys.planarity import _kuratowski_witness
+from linsys.verify import Instance, random_instances
 
-from _oracles import brute_planar
+from _oracles import brute_planar, greedy_kuratowski_witness
 
 
 def _complete(n):
@@ -25,6 +34,22 @@ def _complete(n):
 
 def _k33():
     return new_graph(6, [(i, j + 3) for i in range(3) for j in range(3)])
+
+
+def _grid():
+    # three horizontal and three vertical segments meeting in 9 points
+    rows = [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(3)]
+    cols = [[c, c + 3, c + 6] for c in range(3)]
+    return new_linear_system(9, rows + cols)
+
+
+def _random_graphs():
+    # random graphs on 6..8 vertices, dense and sparse alike
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(6, 8)
+        possible = list(itertools.combinations(range(n), 2))
+        yield new_graph(n, rng.sample(possible, rng.randint(0, len(possible))))
 
 
 def test_new_graph_validation():
@@ -73,11 +98,8 @@ def test_c34_incidence_graph_not_planar(c34):
 
 
 def test_grid_is_a_straight_line_system_with_non_planar_incidence_graph():
-    # three horizontal and three vertical segments meeting in 9 points: a
-    # straight-line system, so a non-planar verdict does not rule one out
-    rows = [[3 * r, 3 * r + 1, 3 * r + 2] for r in range(3)]
-    cols = [[c, c + 3, c + 6] for c in range(3)]
-    grid = new_linear_system(9, rows + cols)
+    # a straight-line system, so a non-planar verdict does not rule one out
+    grid = _grid()
     v = zykov_planar(grid)
     assert not v.planar and v.witness.kind == "K33"
     assert validate_verdict(incidence_graph(grid), v)
@@ -150,15 +172,10 @@ def test_oracle_agreement_small_graphs():
     for bits in range(1 << len(pairs5)):
         edges = [pairs5[i] for i in range(len(pairs5)) if bits >> i & 1]
         g = new_graph(5, edges)
-        assert is_planar(g).planar == brute_planar(g)
-    rng = random.Random(11)
-    for _ in range(40):
-        n = rng.randint(6, 8)
-        possible = list(itertools.combinations(range(n), 2))
-        edges = rng.sample(possible, rng.randint(0, len(possible)))
-        g = new_graph(n, edges)
+        assert planar(g) == is_planar(g).planar == brute_planar(g)
+    for g in _random_graphs():
         verdict = is_planar(g)
-        assert verdict.planar == brute_planar(g)
+        assert planar(g) == verdict.planar == brute_planar(g)
         assert validate_verdict(g, verdict)
 
 
@@ -169,3 +186,51 @@ def test_planar_subsystems_stay_planar():
         for subset in itertools.combinations(range(s.n_lines), k):
             sub, _ = induced_subsystem(s, subset)
             assert zykov_planar(sub).planar
+
+
+def _assert_greedy_witnesses(graphs):
+    for g in graphs:
+        assert _kuratowski_witness(g) == greedy_kuratowski_witness(g)
+
+
+def test_witnesses_match_greedy_oracle_on_named_systems(c34, pi3, pi5):
+    systems = [c34, *(ns.system for ns in enumerate_c44()), _grid(), pi3, pi5,
+               projective_plane(7).system]
+    _assert_greedy_witnesses(incidence_graph(s) for s in systems)
+
+
+def test_witnesses_match_greedy_oracle_on_random_systems():
+    graphs = [incidence_graph(inst.system)
+              for seed in (0, 1, 2, 3) for inst in random_instances(seed, 50)]
+    non_planar = [g for g in graphs if not planar(g)]
+    assert len(non_planar) >= 40
+    _assert_greedy_witnesses(non_planar)
+
+
+def test_witnesses_match_greedy_oracle_without_bipartition():
+    # no bipartition, so the witness search bounds edges by 3V - 6
+    k5 = _complete(5)
+    subdivided = {(u, v) for u, v in k5.edges if (u, v) != (0, 1)} | {(0, 5), (1, 5)}
+    graphs = [
+        k5,
+        _k33(),
+        new_graph(6, subdivided),
+        new_graph(10, nx.petersen_graph().edges),
+        *(g for g in _random_graphs() if not planar(g)),
+    ]
+    assert all(g.bipartition is None for g in graphs)
+    _assert_greedy_witnesses(graphs)
+
+
+def test_six_point_straight_line_system_outside_the_planar_proxy():
+    # a straight-line system with a non-planar incidence graph, so the
+    # planar strict-bound claim skips it although nu2 = 4 < 5 lines
+    s = new_linear_system(6, [[0, 1], [0, 2, 3], [0, 4, 5], [1, 2, 4], [1, 3, 5]])
+    v = zykov_planar(s)
+    assert not v.planar and v.witness.kind == "K33"
+    assert validate_verdict(incidence_graph(s), v)
+    assert transversal_number(s).value == 2
+    assert two_packing_number(s).value == 4
+    claim = next(c for c in verify._claims([])
+                 if c.claim_id == "planar-nu2-234-tau-strictly-below")
+    assert not claim.applies(Instance("six-point", s))

@@ -11,6 +11,7 @@ from linsys import (
     new_linear_system,
     projective_plane,
     run_all,
+    zykov_planar,
 )
 from linsys import verify
 from linsys.verify import (
@@ -18,6 +19,7 @@ from linsys.verify import (
     VerifyConfig,
     _revalidated_counterexample,
     fixture_instances,
+    random_instances,
     reports_to_json,
     reports_to_markdown,
 )
@@ -173,4 +175,27 @@ def test_forced_violations_per_claim(monkeypatch):
             "tau=2 outside [1, 1] for nu2=2",
             "tau=1 outside [2, 3] for nu2=3",
         ]),
+    ]
+
+
+def test_instance_planar_matches_zykov_planar():
+    instances = random_instances(3, 200)
+    assert [i.planar for i in instances] == [
+        zykov_planar(i.system).planar for i in instances
+    ]
+    assert {i.planar for i in instances} == {True, False}
+
+
+def test_extremal_witnesses_are_validated(monkeypatch):
+    """The planar claim keeps each extremal system's Kuratowski witness and
+    checks it; a rejected witness is a counterexample."""
+    monkeypatch.setattr(verify, "validate_verdict", lambda g, v: False)
+    reports = run_all(
+        VerifyConfig(n_random=0, exhaustive_bounds=None, include_fixtures=False)
+    )
+    (planar,) = [r for r in reports if r.claim_id == "planar-nu2-234-tau-strictly-below"]
+    assert planar.instances_checked == 9
+    assert [(ce["instance"]["name"], ce["violation"]) for ce in planar.counterexamples] == [
+        (name, "extremal system's Kuratowski witness fails validation")
+        for name in ["c34"] + [f"c44:{k}" for k in range(8)]
     ]

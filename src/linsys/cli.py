@@ -17,7 +17,7 @@ import json
 import sys as _sys
 from pathlib import Path
 
-from .core import LinearSystemError, _degree_counts, max_degree, points_of_degree_at_least
+from .core import LinearSystemError, _degree_counts
 from .constructions import (
     NamedSystem,
     c34_explicit,
@@ -156,8 +156,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     sys_ = _load(args.instance)
     if sys_ is None:
         return EXIT_BAD_INSTANCE
+    degrees = _degree_counts(sys_)
     deg_hist: dict[int, int] = {}
-    for d in _degree_counts(sys_):
+    for d in degrees:
         deg_hist[d] = deg_hist.get(d, 0) + 1
     size_hist: dict[int, int] = {}
     for line in sys_.lines:
@@ -165,11 +166,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     doc = {
         "n_points": sys_.n_points,
         "n_lines": sys_.n_lines,
-        "max_degree": max_degree(sys_),
+        "max_degree": max(degrees, default=0),
         "degree_histogram": {str(k): v for k, v in sorted(deg_hist.items())},
         "line_size_histogram": {str(k): v for k, v in sorted(size_hist.items())},
-        "points_degree_ge_3": len(points_of_degree_at_least(sys_, 3)),
-        "points_degree_ge_4": len(points_of_degree_at_least(sys_, 4)),
+        "points_degree_ge_3": sum(d >= 3 for d in degrees),
+        "points_degree_ge_4": sum(d >= 4 for d in degrees),
     }
     if args.format == "text":
         for k, v in doc.items():

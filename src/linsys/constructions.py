@@ -20,6 +20,7 @@ from .core import (
     TooLarge,
     _canonical_key,
     _from_residual_lines,
+    _is_int,
     _mask,
     _pair_line_index,
     embeds_as_subsystem,
@@ -165,10 +166,10 @@ def c34_from_pi3(k: int, l: int) -> NamedSystem:
     four lines, then line ``l`` with its four points.  Requires ``k`` not on
     ``l``; every valid choice yields the same isomorphism class."""
     pi3 = projective_plane(3).system
-    if k < 0 or k >= pi3.n_points:
-        raise PointOnLine(f"point id {k} out of range")
-    if l < 0 or l >= pi3.n_lines:
-        raise PointOnLine(f"line index {l} out of range")
+    if not (_is_int(k) and 0 <= k < pi3.n_points):
+        raise PointOnLine(f"point id {k!r} out of range")
+    if not (_is_int(l) and 0 <= l < pi3.n_lines):
+        raise PointOnLine(f"line index {l!r} out of range")
     if k in pi3.lines[l]:
         raise PointOnLine(f"point {k} lies on line {l}")
     drop_points = set(pi3.lines[l]) | {k}

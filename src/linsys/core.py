@@ -201,6 +201,16 @@ def _degree_counts(sys: LinearSystem) -> list[int]:
     return counts
 
 
+def _incidence(sys: LinearSystem) -> list[list[int]]:
+    """The ascending indices of the lines through each point, indexed by
+    point id."""
+    incident: list[list[int]] = [[] for _ in range(sys.n_points)]
+    for i, line in enumerate(sys.lines):
+        for p in line:
+            incident[p].append(i)
+    return incident
+
+
 def max_degree(sys: LinearSystem) -> int:
     """Largest point degree; 0 for a system without incidences."""
     return max(_degree_counts(sys), default=0)
@@ -310,9 +320,6 @@ def three_hypergraph(sys: LinearSystem) -> ThreeHypergraph:
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-_MAX_AUTOS = 200
-
-
 def _refine(n: int, lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
             colors: tuple[int, ...]) -> tuple[int, ...]:
     """Equitable refinement of a point coloring.
@@ -345,22 +352,21 @@ def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(rank[s] for s in marked)
 
 
-def _canonical_search(
-    n: int, lines: tuple[tuple[int, ...], ...]
-) -> tuple[tuple, tuple[int, ...]]:
-    """Canonical encoding of a system plus the labeling that realizes it.
+def _canonical_search(sys: LinearSystem) -> tuple:
+    """Canonical encoding ``(n_points, lines)`` of ``sys`` itself, lines
+    relabeled and sorted by (size, tuple); every canonical key, form and
+    representative comes from this one search.
 
     Backtracks over the refinement tree: repeatedly individualize each vertex
     of the first non-singleton color class, refine, and keep the
     lexicographically least relabeled line list among the discrete leaves.
-    Automorphisms discovered from equal leaves prune symmetric branches.
+    Every automorphism found from equal leaves is kept and prunes the
+    branches it maps onto tried ones.
     """
+    n, lines = sys.n_points, sys.lines
     if n == 0:
-        return (0, ()), ()
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, line in enumerate(lines):
-        for p in line:
-            incident[p].append(i)
+        return (0, ())
+    incident = _incidence(sys)
 
     best_enc: Optional[tuple] = None
     best_lab: Optional[tuple[int, ...]] = None
@@ -389,7 +395,7 @@ def _canonical_search(
             enc = encode(colors)
             if best_enc is None or enc < best_enc:
                 best_enc, best_lab = enc, colors
-            elif enc == best_enc and len(autos) < _MAX_AUTOS:
+            elif enc == best_enc:
                 pos_to_point = [0] * n
                 for p, c in enumerate(best_lab):
                     pos_to_point[c] = p
@@ -412,32 +418,29 @@ def _canonical_search(
             tried.append(v)
 
     dfs(tuple(0 for _ in range(n)), [])
-    assert best_enc is not None and best_lab is not None
-    return best_enc, best_lab
+    assert best_enc is not None
+    return best_enc
 
 
 def _canonical_key(sys: LinearSystem) -> tuple:
-    """Hashable isomorphism-class key, matching the public canonical form."""
-    pruned, _ = prune_low_degree(sys)
-    enc, _ = _canonical_search(pruned.n_points, pruned.lines)
-    return enc
+    """Hashable isomorphism-class key: the canonical encoding of the
+    low-degree-pruned system."""
+    return _canonical_search(prune_low_degree(sys)[0])
 
 
 def canonical_relabel(sys: LinearSystem) -> LinearSystem:
     """The canonical representative of ``sys`` itself (no pruning): points are
     renamed by the canonical labeling and lines sorted by (size, tuple)."""
-    enc, lab = _canonical_search(sys.n_points, sys.lines)
-    return new_linear_system(enc[0], enc[1])
+    return new_linear_system(*_canonical_search(sys))
 
 
 def canonical_form(sys: LinearSystem) -> CanonicalForm:
     """Deterministic label invariant under point and line relabeling, computed
     on the low-degree-pruned system."""
-    pruned, _ = prune_low_degree(sys)
-    enc, _ = _canonical_search(pruned.n_points, pruned.lines)
-    body = "|".join(",".join(str(p) for p in line) for line in enc[1])
-    label = f"{enc[0]};{body}".encode("ascii")
-    return CanonicalForm(label=label, pruned_sizes=(pruned.n_points, pruned.n_lines))
+    n, lines = _canonical_key(sys)
+    body = "|".join(",".join(str(p) for p in line) for line in lines)
+    label = f"{n};{body}".encode("ascii")
+    return CanonicalForm(label=label, pruned_sizes=(n, len(lines)))
 
 
 def is_isomorphic(a: LinearSystem, b: LinearSystem) -> bool:
@@ -467,15 +470,8 @@ def embeds_as_subsystem(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
 
     pair_line = _pair_line_index(b)
     host_masks = b.masks
-    host_lines_through: list[list[int]] = [[] for _ in range(nb)]
-    for j, line in enumerate(b.lines):
-        for p in line:
-            host_lines_through[p].append(j)
-
-    src_incident: list[list[int]] = [[] for _ in range(na)]
-    for i, line in enumerate(src.lines):
-        for p in line:
-            src_incident[p].append(i)
+    host_lines_through = _incidence(b)
+    src_incident = _incidence(src)
     src_linesets = [set(line) for line in src.lines]
     deg = [len(src_incident[p]) for p in range(na)]
     order = sorted(range(na), key=lambda p: (-deg[p], p))

@@ -5,8 +5,10 @@ not a necessary condition for it: the 3x3 grid (three horizontal and three
 vertical segments) is a straight-line system with a non-planar incidence
 graph.  Every verdict carries a checkable certificate: a rotation system
 validated against Euler's formula when planar, or a K5/K3,3 subdivision
-when not.  The planarity decision, and each test of the witness search,
-delegates to networkx; certificate validation is independent of it.
+when not.  The certified decision delegates to networkx; the yes/no
+answer and each test of the witness search settle the easy cases by
+counting and delegate the rest.  Certificate validation is independent of
+networkx.
 """
 
 from __future__ import annotations
@@ -93,13 +95,6 @@ def incidence_graph(sys: LinearSystem) -> Graph:
         edges,
         (frozenset(range(n)), frozenset(range(n, n + sys.n_lines))),
     )
-
-
-def _to_nx(n_vertices: int, edges) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(n_vertices))
-    g.add_edges_from(edges)
-    return g
 
 
 def _decompose_subdivision(edges: set[tuple[int, int]]) -> KuratowskiWitness:
@@ -215,9 +210,9 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
 
 
 def planar(g: Graph) -> bool:
-    """Yes/no planarity from one networkx call, with no certificate; for
-    filters that keep no witness."""
-    return nx.check_planarity(_to_nx(g.n_vertices, g.edges))[0]
+    """Yes/no planarity with no certificate, for filters that keep no
+    witness; decided by the same 2-core counts as the witness search."""
+    return _planar_edges(g.edges, g.bipartition is not None)
 
 
 def is_planar(g: Graph) -> PlanarityVerdict:
@@ -225,7 +220,10 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     (cyclic neighbor order per vertex) when planar, a Kuratowski subdivision
     when not."""
     # one networkx call gives both the answer and the rotation system
-    ok, emb = nx.check_planarity(_to_nx(g.n_vertices, g.edges))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n_vertices))
+    nxg.add_edges_from(g.edges)
+    ok, emb = nx.check_planarity(nxg)
     if ok:
         data = emb.get_data()
         rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}

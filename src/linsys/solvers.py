@@ -16,6 +16,7 @@ from .core import (
     TooLarge,
     _check_line,
     _check_point,
+    _incidence,
     _mask,
 )
 
@@ -32,15 +33,6 @@ class Certificate:
     kind: str
     members: tuple[int, ...]
     value: int
-
-
-def _point_cover_masks(sys: LinearSystem) -> list[int]:
-    """For each point, the bitmask of line indices containing it."""
-    cover = [0] * sys.n_points
-    for i, line in enumerate(sys.lines):
-        for p in line:
-            cover[p] |= 1 << i
-    return cover
 
 
 def is_transversal(sys: LinearSystem, points: set[int] | frozenset[int] | tuple[int, ...]) -> bool:
@@ -84,7 +76,7 @@ def transversal_number(sys: LinearSystem) -> Certificate:
     m = sys.n_lines
     if m == 0:
         return Certificate("transversal", (), 0)
-    cover = _point_cover_masks(sys)
+    cover = [_mask(ls) for ls in _incidence(sys)]
     full = (1 << m) - 1
     line_sizes = [len(l) for l in sys.lines]
 

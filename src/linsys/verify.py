@@ -21,8 +21,8 @@ from .core import (
     LinearSystem,
     TooLarge,
     _canonical_key,
+    _canonical_search,
     _mask,
-    canonical_relabel,
     embeds_as_subsystem,
     max_degree,
     new_linear_system,
@@ -312,16 +312,15 @@ def _star_plus_two(disjoint: bool) -> LinearSystem:
     return new_linear_system(n, star_lines + extra)
 
 
-def fixture_instances(include_large: bool = True) -> list[Instance]:
+def fixture_instances() -> list[Instance]:
     """The named systems plus small handcrafted shapes exercising each claim."""
     out = [
         Instance("pi:2", projective_plane(2).system),
         Instance("pi:3", projective_plane(3).system),
         Instance("c34", c34_explicit().system),
         Instance("c", c_explicit().system),
+        Instance("pi:5", projective_plane(5).system),
     ]
-    if include_large:
-        out.append(Instance("pi:5", projective_plane(5).system))
     out += [Instance(ns.name, ns.system) for ns in enumerate_c44()]
     out += [
         Instance("star-4", _star(4)),
@@ -378,7 +377,7 @@ def exhaustive_small(
 
     Orderly line-by-line extension: lines are added in non-increasing size
     order (every system can be built that way), new points take the next free
-    ids, and each level is deduplicated by canonical relabeling.  Ground sets
+    ids, and each level is deduplicated by canonical encoding.  Ground sets
     carry no isolated points.
     """
     if max_points > 9 or max_lines > 7:
@@ -414,10 +413,11 @@ def exhaustive_small(
                         cand = new_linear_system(
                             sys.n_points + fresh, sys.lines + (newline,)
                         )
-                        crel = canonical_relabel(cand)
-                        key = (crel.n_points, crel.lines)
+                        key = _canonical_search(cand)
                         if key not in level:
-                            level[key] = crel
+                            # keyed by rep's own tuples, so each class is held once
+                            rep = new_linear_system(*key)
+                            level[(rep.n_points, rep.lines)] = rep
         frontier = [level[k] for k in sorted(level)]
         out.extend(frontier)
     return out
@@ -432,7 +432,6 @@ class VerifyConfig:
     seed: int = 7
     n_random: int = 200
     exhaustive_bounds: tuple[int, int] | None = (8, 5)
-    exhaustive_sizes: tuple[int, int] = (2, 4)
     include_fixtures: bool = True
 
 
@@ -445,7 +444,7 @@ def run_all(config: VerifyConfig | None = None) -> list[ClaimReport]:
         instances.extend(fixture_instances())
     if config.exhaustive_bounds is not None:
         mp, ml = config.exhaustive_bounds
-        for i, sys in enumerate(exhaustive_small(mp, ml, config.exhaustive_sizes)):
+        for i, sys in enumerate(exhaustive_small(mp, ml)):
             instances.append(Instance(f"exhaustive-{i}", sys))
     if config.n_random > 0:
         instances.extend(random_instances(config.seed, config.n_random))

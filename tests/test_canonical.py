@@ -37,6 +37,15 @@ def test_canonical_form_invariant_under_100_shuffles(fixture, request):
         assert canonical_form(_shuffled(sys, rng)) == base
 
 
+def test_canonical_form_of_pi5_invariant_under_shuffles(pi5):
+    # the search keeps 972 and 345 automorphisms on these two shuffles
+    base = canonical_form(pi5)
+    assert base.pruned_sizes == (31, 31)
+    rng = random.Random(99)
+    for _ in range(2):
+        assert canonical_form(_shuffled(pi5, rng)) == base
+
+
 def test_canonical_form_distinguishes_planes(pi2, pi3):
     a, b = canonical_form(pi2), canonical_form(pi3)
     assert a.label != b.label

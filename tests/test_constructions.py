@@ -64,8 +64,11 @@ def test_c34_from_pi3_well_defined(c34, pi3):
     assert ns.system.n_points == 8 and ns.system.n_lines == 8
     assert is_isomorphic(ns.system, c34)
     bad = next(l for l, line in enumerate(pi3.lines) if k in line)
-    with pytest.raises(PointOnLine):
-        c34_from_pi3(k, bad)
+    # line 1 misses point 1, so only the type check rejects the bools and 1.5
+    assert 1 not in pi3.lines[1]
+    for args in [(k, bad), (True, 1), (1.5, 1), (1, True)]:
+        with pytest.raises(PointOnLine):
+            c34_from_pi3(*args)
 
 
 def test_find_triangles_matches_brute_force(pi2):

@@ -43,7 +43,9 @@ def test_exhaustive_small_two_uniform_matches_known_graph_counts():
 
 def test_exhaustive_small_no_isomorphic_duplicates():
     out = exhaustive_small(6, 4, (2, 3))
-    keys = [(c.n_points, c.lines) for c in map(canonical_relabel, out)]
+    # each class comes back as its own canonical representative
+    assert all(canonical_relabel(s) == s for s in out)
+    keys = [(s.n_points, s.lines) for s in out]
     assert len(keys) == len(set(keys))
     assert all(s.n_points == len({p for l in s.lines for p in l}) for s in out)
 

@@ -5,9 +5,10 @@ Subcommands: ``construct`` (named systems to instance files), ``solve``
 plus certificate), ``stats`` (degree and line-size profile), ``verify``
 (claim harness with reports) and ``enumerate-c44``.
 
-Exit codes: 0 success, 1 invalid instance input, 2 bad name or parameters,
-3 claim failure, 4 internal inconsistency (a planarity certificate that does
-not validate, or a solver that disagrees with its brute-force oracle).
+Exit codes: 0 success, 1 invalid or unreadable instance input, 2 bad name,
+parameters or output path, 3 claim failure, 4 internal inconsistency (a
+planarity certificate that does not validate, or a solver that disagrees with
+its brute-force oracle).
 """
 
 from __future__ import annotations
@@ -86,22 +87,33 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except LinearSystemError as exc:
         _err(str(exc))
         return EXIT_BAD_PARAMS
-    if isinstance(built, list):
-        out_dir = Path(args.out) if args.out else Path("c44")
-        _write_members(out_dir, built)
-        print(f"wrote {len(built)} systems to {out_dir}/")
-        return EXIT_OK
-    out = Path(args.out) if args.out else Path(args.name.replace(":", "") + ".json")
-    save_instance(out, built.system, name=built.name, comments=_symbol_comment(built))
+    try:
+        if isinstance(built, list):
+            out_dir = Path(args.out) if args.out else Path("c44")
+            _write_members(out_dir, built)
+            print(f"wrote {len(built)} systems to {out_dir}/")
+            return EXIT_OK
+        out = Path(args.out) if args.out else Path(args.name.replace(":", "") + ".json")
+        save_instance(out, built.system, name=built.name, comments=_symbol_comment(built))
+    except OSError as exc:
+        return _write_failed(exc)
     print(f"wrote {built.system.n_points} points, {built.system.n_lines} lines to {out}")
     return EXIT_OK
+
+
+def _write_failed(exc: OSError) -> int:
+    _err(f"cannot write {exc.filename}: {exc.strerror}")
+    return EXIT_BAD_PARAMS
 
 
 def _load(path: str):
     try:
         return load_instance(path)
-    except FileNotFoundError:
-        _err(f"no such file: {path}")
+    except OSError as exc:
+        _err(f"cannot read {path}: {exc.strerror}")
+        return None
+    except UnicodeDecodeError:
+        _err(f"cannot read {path}: not UTF-8 text")
         return None
     except (InstanceFormatError, LinearSystemError) as exc:
         _err(str(exc))
@@ -189,6 +201,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _err(f'bad --exhaustive value {args.exhaustive!r}; expected "P,L"')
             return EXIT_BAD_PARAMS
         bounds = (p, l)
+    if args.random < 0:
+        _err(f"--random must be nonnegative, got {args.random}")
+        return EXIT_BAD_PARAMS
     config = VerifyConfig(
         seed=args.seed, n_random=args.random, include_fixtures=not args.no_fixtures
     )
@@ -203,14 +218,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _err(str(exc))
         return EXIT_INTERNAL
     out_dir = Path(args.out) if args.out else Path("verify-report")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
-    (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
     failed = [r for r in reports if not r.passed]
-    for r in failed:
-        for i, ce in enumerate(r.counterexamples):
-            path = out_dir / f"counterexample-{r.claim_id}-{i}.json"
-            path.write_text(json.dumps(ce, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
+        (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
+        for r in failed:
+            for i, ce in enumerate(r.counterexamples):
+                path = out_dir / f"counterexample-{r.claim_id}-{i}.json"
+                path.write_text(json.dumps(ce, indent=2) + "\n")
+    except OSError as exc:
+        return _write_failed(exc)
     if args.format == "markdown":
         print(reports_to_markdown(reports))
     else:
@@ -225,7 +243,10 @@ def cmd_enumerate_c44(args: argparse.Namespace) -> int:
     members = enumerate_c44()
     if args.out:
         out_dir = Path(args.out)
-        _write_members(out_dir, members)
+        try:
+            _write_members(out_dir, members)
+        except OSError as exc:
+            return _write_failed(exc)
         print(f"wrote {len(members)} members to {out_dir}/")
     else:
         doc = [

@@ -10,7 +10,8 @@ encodings stay compact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 
@@ -79,15 +80,16 @@ class LinearSystem:
     """Validated incidence structure; build instances via :func:`new_linear_system`.
 
     ``masks`` holds one point-bitmask per line so that intersection tests are
-    O(1); it is derived from ``lines`` and excluded from equality.
+    O(1); it is derived from ``lines`` on first use, so a system that is only
+    stored or printed does not carry it, and it takes no part in equality.
     """
 
     n_points: int
     lines: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(_mask(l) for l in self.lines))
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(_mask(l) for l in self.lines)
 
     @property
     def n_lines(self) -> int:

@@ -25,7 +25,7 @@ _ORACLE_MAX_LINES = 20
 _HYPERGRAPH_MAX_VERTICES = 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """A witness optimum: point ids for a transversal, line indices for a
     2-packing; ``value`` always equals ``len(members)``."""
@@ -164,71 +164,62 @@ def transversal_number(sys: LinearSystem) -> Certificate:
 def two_packing_number(sys: LinearSystem) -> Certificate:
     """Maximum 2-packing with the lexicographically smallest witness.
 
-    Depth-first include/exclude over line indices, keeping per-point
-    multiplicity <= 2 via once/twice bitmasks and pruning on the count of
-    lines that can still be added.
+    Both passes ask one decision search, ``fits(addable, need, once)``: can
+    ``need`` more lines, in increasing index order, come from the bitmask
+    ``addable`` of lines through no point already covered twice?  Taking a
+    line drops the lines through each point it covers a second time.  A
+    node is cut when fewer than ``need`` lines are addable, or by the
+    Russian-doll bound (Östergård, "A fast algorithm for the maximum clique
+    problem", Discrete Appl. Math. 120, 2002): ``c[j]``, the 2-packing
+    number of lines ``j..m-1``, bounds every completion from a mask whose
+    lowest line is ``j``, because a subfamily of a 2-packing is one too.
+    ``c`` fills from ``j = m-1`` down: ``c[j] = c[j+1] + 1`` exactly when
+    ``c[j+1]`` more lines fit after line ``j``, and the optimum is ``c[0]``.
+    Lines are tried in increasing order and only subtrees without a
+    solution are cut, so the first packing of size ``c[0]`` the search
+    finds from all lines is the lexicographically least: that is the
+    witness pass.
     """
     m = sys.n_lines
     if m == 0:
         return Certificate("two_packing", (), 0)
     masks = sys.masks
+    uncover = [~_mask(ls) for ls in _incidence(sys)]
+    c = [0] * m
+    chosen: list[int] = []
 
-    # greedy start
-    once = twice = 0
-    greedy = 0
-    for i in range(m):
-        if masks[i] & twice == 0:
-            twice |= once & masks[i]
-            once |= masks[i]
-            greedy += 1
-    best = greedy
-
-    def dfs(i: int, cnt: int, once: int, twice: int) -> None:
-        nonlocal best
-        avail = 0
-        for j in range(i, m):
-            if masks[j] & twice == 0:
-                avail += 1
-        if cnt + avail <= best:
-            return
-        while i < m and masks[i] & twice:
-            i += 1
-        if i == m:
-            if cnt > best:
-                best = cnt
-            return
-        lm = masks[i]
-        dfs(i + 1, cnt + 1, once | lm, twice | (once & lm))
-        dfs(i + 1, cnt, once, twice)
-
-    dfs(0, 0, 0, 0)
-    nu2 = best
-
-    def extend(i: int, need: int, once: int, twice: int) -> bool:
-        if need == 0:
-            return True
-        if m - i < need:
-            return False
-        for j in range(i, m - need + 1):
-            lm = masks[j]
-            if lm & twice == 0 and extend(j + 1, need - 1, once | lm, twice | (once & lm)):
+    def fits(addable: int, need: int, once: int) -> bool:
+        while addable.bit_count() >= need:
+            b = addable & -addable
+            j = b.bit_length() - 1
+            if c[j] < need:
+                return False
+            addable ^= b
+            if need == 1:
+                chosen.append(j)
+                return True
+            rest = addable
+            doubled = once & masks[j]
+            while doubled:
+                d = doubled & -doubled
+                doubled ^= d
+                rest &= uncover[d.bit_length() - 1]
+            if fits(rest, need - 1, once | masks[j]):
+                chosen.append(j)
                 return True
         return False
 
-    members: list[int] = []
-    once = twice = 0
-    for l in range(m):
-        if len(members) == nu2:
-            break
-        lm = masks[l]
-        if lm & twice:
-            continue
-        if extend(l + 1, nu2 - len(members) - 1, once | lm, twice | (once & lm)):
-            members.append(l)
-            twice |= once & lm
-            once |= lm
-    assert len(members) == nu2
-    return Certificate("two_packing", tuple(members), nu2)
+    full = (1 << m) - 1
+    nu2 = 0
+    for i in range(m - 1, -1, -1):
+        c[i] = nu2 + 1  # lines above i fit at most nu2, so this takes line i
+        if fits(full & -1 << i, nu2 + 1, 0):
+            nu2 += 1
+        c[i] = nu2
+    chosen.clear()
+    fits(full, nu2, 0)
+    assert len(chosen) == nu2
+    return Certificate("two_packing", tuple(reversed(chosen)), nu2)
 
 
 def _check_oracle_size(sys: LinearSystem) -> None:

@@ -99,6 +99,47 @@ def test_cli_solve_bad_inputs(tmp_path, capsys):
     assert "lines 0 and 1" in err
 
 
+def test_cli_unreadable_inputs(tmp_path, capsys, monkeypatch):
+    assert main(["solve", str(tmp_path)]) == cli.EXIT_BAD_INSTANCE
+    assert "error: cannot read" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"0 1 # caf\xe9\n")
+    for command in ("solve", "stats", "planarity"):
+        assert main([command, str(latin1)]) == cli.EXIT_BAD_INSTANCE
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "load_instance", unreadable)
+    assert main(["solve", "any.json"]) == cli.EXIT_BAD_INSTANCE
+    assert "error: cannot read any.json: Permission denied" in capsys.readouterr().err
+
+
+def test_cli_unwritable_outputs(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ["construct", "c44", "--out", str(taken)],
+        ["enumerate-c44", "--out", str(taken)],
+        ["verify", "--no-fixtures", "--random", "2", "--exhaustive", "3,2", "--out", str(taken)],
+        ["construct", "pi:2", "--out", str(tmp_path / "missing" / "x.json")],
+    ):
+        assert main(argv) == cli.EXIT_BAD_PARAMS
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert "wrote" not in captured.out
+    assert taken.read_text() == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_verify_rejects_negative_random(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    assert main(["verify", "--random", "-3", "--out", str(out_dir)]) == cli.EXIT_BAD_PARAMS
+    assert "error: --random" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_planarity(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["construct", "c34"]) == 0

@@ -80,6 +80,20 @@ def test_transversal_number_on_planes(q):
     assert math.ceil(s.n_lines / max(degrees.values())) == cert.value
 
 
+@pytest.mark.parametrize(
+    "q, witness", ((5, (0, 1, 6, 12, 19, 25)), (7, (0, 1, 8, 16, 25, 31, 49, 55)))
+)
+def test_two_packing_number_on_planes(q, witness):
+    # optimality past the brute-force guard: for odd q no arc of pi:q has
+    # more than q+1 points (Bose 1947), so dually no q+2 lines are free of
+    # three concurrent ones
+    s = projective_plane(q).system
+    cert = two_packing_number(s)
+    assert cert.value == q + 1
+    assert cert.members == witness
+    assert is_two_packing(s, cert.members)
+
+
 def test_two_packing_number_named(pi3, c34, pi2):
     cert = two_packing_number(pi3)
     assert cert.value == 4 and is_two_packing(pi3, cert.members)
@@ -158,6 +172,21 @@ def test_transversal_agrees_with_oracle_at_depth(n_points, n_lines, seed):
     except GenerationExhausted:
         return
     assert transversal_number(s) == brute_force_transversal(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_points=st.integers(12, 16),
+    n_lines=st.integers(12, 16),
+    seed=st.integers(0, 100_000),
+)
+def test_two_packing_agrees_with_oracle_at_depth(n_points, n_lines, seed):
+    # nu2 is mostly 7-10 here, so the Russian-doll bound cuts below the root
+    try:
+        s = random_linear_system(n_points, n_lines, (2, 4), seed)
+    except GenerationExhausted:
+        return
+    assert two_packing_number(s) == brute_force_two_packing(s)
 
 
 def test_clique_number_named(pi3):

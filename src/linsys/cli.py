@@ -209,18 +209,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     if bounds is not None:
         config.exhaustive_bounds = bounds
-    try:
-        reports = run_all(config)
-    except LinearSystemError as exc:
-        _err(str(exc))
-        return EXIT_BAD_PARAMS
-    except HarnessError as exc:
-        _err(str(exc))
-        return EXIT_INTERNAL
+    # an unwritable report directory fails before the harness runs
     out_dir = Path(args.out) if args.out else Path("verify-report")
-    failed = [r for r in reports if not r.passed]
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _write_failed(exc)
+    try:
+        reports = run_all(config)
+    except (LinearSystemError, HarnessError) as exc:
+        for d in created:
+            d.rmdir()
+        _err(str(exc))
+        return EXIT_BAD_PARAMS if isinstance(exc, LinearSystemError) else EXIT_INTERNAL
+    failed = [r for r in reports if not r.passed]
+    try:
         (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
         (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
         for r in failed:

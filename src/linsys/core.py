@@ -459,57 +459,44 @@ def embeds_as_subsystem(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
     """Search for an embedding of ``a`` (pruned first) into ``b`` as a linear
     subsystem.
 
-    Backtracks over injective point assignments; candidate target points are
-    tried in ascending id order so the returned witness is deterministic.
-    Returns None when no embedding exists.
+    Backtracks over injective point assignments, source points by decreasing
+    degree and host points in ascending id order, each source point keeping
+    a bitset domain of host points.  A domain starts as the host points of
+    degree at least the number of source lines of size >= 2 through the
+    point, as those lines need distinct host lines.  Assigning ``p -> t``
+    removes ``t`` from every open domain, confines the open points of a line
+    placed here first to the points collinear with ``t``, and when a line
+    gets its host line ``j`` (its second placed point), confines its open
+    points to ``j`` and every other open point to outside ``j``; an empty
+    domain backtracks at once.  Each pruned value is one that plain
+    backtracking in the same order would reject further down, so the first
+    embedding found, the witness, is the same.  Returns None when there is
+    none.
     """
     src, _ = prune_low_degree(a)
     na, nb = src.n_points, b.n_points
     if na > nb or src.n_lines > b.n_lines:
         return None
-    if na == 0:
-        return Embedding({}, {i: 0 for i in range(src.n_lines)}) if src.n_lines == 0 else None
 
     pair_line = _pair_line_index(b)
     host_masks = b.masks
     host_lines_through = _incidence(b)
     src_incident = _incidence(src)
-    src_linesets = [set(line) for line in src.lines]
-    deg = [len(src_incident[p]) for p in range(na)]
-    order = sorted(range(na), key=lambda p: (-deg[p], p))
+    src_masks = src.masks
+    order = sorted(range(na), key=lambda p: (-len(src_incident[p]), p))
+    # the host points sharing a line with each host point
+    joined = [0] * nb
+    for u, v in pair_line:
+        joined[u] |= 1 << v
+        joined[v] |= 1 << u
+    need = [sum(len(src.lines[li]) >= 2 for li in src_incident[p]) for p in range(na)]
+    fits = {d: _mask(t for t in range(nb) if len(host_lines_through[t]) >= d) for d in set(need)}
+    domains = [fits[d] for d in need]
+    if 0 in domains:
+        return None
 
     mapping = [-1] * na
-    target_of: dict[int, int] = {}  # host point -> src point
     host_of = [-1] * src.n_lines
-    used = 0
-
-    def candidate_ok(p: int, t: int) -> Optional[list[tuple[int, int]]]:
-        """Check assigning src point p to host point t; return newly
-        determined (src line, host line) pairs, or None on conflict."""
-        determined: list[tuple[int, int]] = []
-        tbit = 1 << t
-        for li in src_incident[p]:
-            imgs = [mapping[u] for u in src.lines[li] if mapping[u] != -1]
-            if host_of[li] != -1:
-                if not (host_masks[host_of[li]] & tbit):
-                    return None
-            elif imgs:
-                q = imgs[0]
-                key = (q, t) if q < t else (t, q)
-                j = pair_line.get(key)
-                if j is None:
-                    return None
-                # a freshly determined host must avoid images of outside points
-                for hp in b.lines[j]:
-                    w = target_of.get(hp)
-                    if w is not None and w not in src_linesets[li]:
-                        return None
-                determined.append((li, j))
-        for li in range(src.n_lines):
-            if host_of[li] != -1 and p not in src_linesets[li]:
-                if host_masks[host_of[li]] & tbit:
-                    return None
-        return determined
 
     def finish() -> Optional[Embedding]:
         image = {mapping[p] for p in range(na)}
@@ -531,34 +518,38 @@ def embeds_as_subsystem(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
             line_map[li] = pick
         return Embedding({p: mapping[p] for p in range(na)}, line_map)
 
-    def assign(k: int) -> Optional[Embedding]:
-        nonlocal used
+    def assign(k: int, dom: list[int], placed: int, used: int) -> Optional[Embedding]:
         if k == na:
             return finish()
         p = order[k]
-        for t in range(nb):
-            tbit = 1 << t
-            if used & tbit:
-                continue
-            determined = candidate_ok(p, t)
-            if determined is None:
-                continue
-            mapping[p] = t
-            target_of[t] = p
-            used |= tbit
-            for li, j in determined:
-                host_of[li] = j
-            found = assign(k + 1)
-            if found is not None:
-                return found
-            for li, _ in determined:
-                host_of[li] = -1
-            used ^= tbit
-            del target_of[t]
-            mapping[p] = -1
+        pbit = 1 << p
+        placed |= pbit
+        rest = order[k + 1:]
+        for t in _bits(dom[p]):
+            new = [d & ~(1 << t) for d in dom]
+            for li in src_incident[p]:
+                on = src_masks[li] & placed
+                if on == pbit:  # p is the first point placed on li
+                    for u in _bits(src_masks[li] & ~placed):
+                        new[u] &= joined[t]
+                elif on.bit_count() == 2:  # li gets its host line j now
+                    tq = mapping[(on ^ pbit).bit_length() - 1]
+                    j = pair_line[(tq, t) if tq < t else (t, tq)]
+                    hm = host_masks[j]
+                    if hm & used != 1 << tq:  # j holds the image of a point off li
+                        break
+                    host_of[li] = j  # set anew on every path to finish: no undo
+                    for u in rest:
+                        new[u] &= hm if src_masks[li] >> u & 1 else ~hm
+            else:  # no line clashed
+                if all(new[u] for u in rest):
+                    mapping[p] = t
+                    found = assign(k + 1, new, placed, used | 1 << t)
+                    if found is not None:
+                        return found
         return None
 
-    return assign(0)
+    return assign(0, domains, 0, 0)
 
 
 def validate_embedding(a: LinearSystem, b: LinearSystem, emb: Embedding) -> bool:
@@ -567,6 +558,9 @@ def validate_embedding(a: LinearSystem, b: LinearSystem, emb: Embedding) -> bool
     image of the candidate point set."""
     src, _ = prune_low_degree(a)
     pm = emb.point_map
+    # True == 1 and 1.0 hashes as 1, but neither is an id
+    if not all(map(_is_int, [*pm, *pm.values(), *emb.line_map, *emb.line_map.values()])):
+        return False
     if set(pm) != set(range(src.n_points)):
         return False
     values = list(pm.values())

@@ -7,10 +7,12 @@ searches) and must stay independent of the algorithms it validates.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 import networkx as nx
 
 from linsys import LinearSystem, prune_low_degree
+from linsys.core import Embedding, _incidence, _pair_line_index
 from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
 
 
@@ -47,6 +49,110 @@ def brute_embeds(a: LinearSystem, b: LinearSystem) -> bool:
         if ok:
             return True
     return False
+
+
+def backtrack_embedding(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]:
+    """Reference for ``embeds_as_subsystem``: plain backtracking that tries
+    every unused host point for each source point, in the same variable
+    order ``(-deg, p)`` and ascending host order, with no domains and no
+    forward check, so the first embedding it finds is the one the main code
+    must return."""
+    src, _ = prune_low_degree(a)
+    na, nb = src.n_points, b.n_points
+    if na > nb or src.n_lines > b.n_lines:
+        return None
+    if na == 0:
+        return Embedding({}, {i: 0 for i in range(src.n_lines)}) if src.n_lines == 0 else None
+
+    pair_line = _pair_line_index(b)
+    host_masks = b.masks
+    host_lines_through = _incidence(b)
+    src_incident = _incidence(src)
+    src_linesets = [set(line) for line in src.lines]
+    deg = [len(src_incident[p]) for p in range(na)]
+    order = sorted(range(na), key=lambda p: (-deg[p], p))
+
+    mapping = [-1] * na
+    target_of: dict[int, int] = {}  # host point -> src point
+    host_of = [-1] * src.n_lines
+    used = 0
+
+    def candidate_ok(p: int, t: int) -> Optional[list[tuple[int, int]]]:
+        """Check assigning src point p to host point t; return newly
+        determined (src line, host line) pairs, or None on conflict."""
+        determined: list[tuple[int, int]] = []
+        tbit = 1 << t
+        for li in src_incident[p]:
+            imgs = [mapping[u] for u in src.lines[li] if mapping[u] != -1]
+            if host_of[li] != -1:
+                if not (host_masks[host_of[li]] & tbit):
+                    return None
+            elif imgs:
+                q = imgs[0]
+                key = (q, t) if q < t else (t, q)
+                j = pair_line.get(key)
+                if j is None:
+                    return None
+                # a freshly determined host must avoid images of outside points
+                for hp in b.lines[j]:
+                    w = target_of.get(hp)
+                    if w is not None and w not in src_linesets[li]:
+                        return None
+                determined.append((li, j))
+        for li in range(src.n_lines):
+            if host_of[li] != -1 and p not in src_linesets[li]:
+                if host_masks[host_of[li]] & tbit:
+                    return None
+        return determined
+
+    def finish() -> Optional[Embedding]:
+        image = {mapping[p] for p in range(na)}
+        line_map: dict[int, int] = {}
+        for li, line in enumerate(src.lines):
+            if host_of[li] != -1:
+                line_map[li] = host_of[li]
+                continue
+            # single-point line: pick the first host line meeting the image
+            # exactly at that point
+            q = mapping[line[0]]
+            pick = None
+            for j in host_lines_through[q]:
+                if all(hp == q or hp not in image for hp in b.lines[j]):
+                    pick = j
+                    break
+            if pick is None:
+                return None
+            line_map[li] = pick
+        return Embedding({p: mapping[p] for p in range(na)}, line_map)
+
+    def assign(k: int) -> Optional[Embedding]:
+        nonlocal used
+        if k == na:
+            return finish()
+        p = order[k]
+        for t in range(nb):
+            tbit = 1 << t
+            if used & tbit:
+                continue
+            determined = candidate_ok(p, t)
+            if determined is None:
+                continue
+            mapping[p] = t
+            target_of[t] = p
+            used |= tbit
+            for li, j in determined:
+                host_of[li] = j
+            found = assign(k + 1)
+            if found is not None:
+                return found
+            for li, _ in determined:
+                host_of[li] = -1
+            used ^= tbit
+            del target_of[t]
+            mapping[p] = -1
+        return None
+
+    return assign(0)
 
 
 def _adjacency(g: Graph) -> dict[int, set[int]]:

@@ -8,6 +8,7 @@ from linsys import (
     canonical_form,
     c34_from_pi3,
     embeds_as_subsystem,
+    enumerate_c44,
     induced_subsystem,
     is_isomorphic,
     new_linear_system,
@@ -17,7 +18,7 @@ from linsys import (
 )
 from linsys.constructions import GenerationExhausted
 
-from _oracles import brute_embeds, brute_isomorphic
+from _oracles import backtrack_embedding, brute_embeds, brute_isomorphic
 
 
 def _shuffled(sys, rng):
@@ -105,6 +106,86 @@ def test_validate_embedding_rejects_tampering(c_sys, pi3):
     k0, k1 = 0, 1
     bad2.point_map[k0], bad2.point_map[k1] = bad2.point_map[k1], bad2.point_map[k0]
     assert not validate_embedding(c_sys, pi3, bad2)
+    # a triangle inside K4 with a tail: True == 1 and 1.0 hash like point 1
+    triangle = new_linear_system(3, [[0, 1], [0, 2], [1, 2]])
+    host = new_linear_system(5, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]])
+    emb = embeds_as_subsystem(triangle, host)
+    assert emb == Embedding({0: 0, 1: 1, 2: 2}, {0: 0, 1: 1, 2: 3})
+    assert validate_embedding(triangle, host, emb)
+    for point_map, line_map in (
+        ({0: 0, True: 1, 2: 2}, emb.line_map),
+        ({0: 0, 1: 1.0, 2: 2}, emb.line_map),
+        ({0: 0, 1: True, 2: 2}, emb.line_map),
+        (emb.point_map, {0: 0, True: 1, 2: 3}),
+        (emb.point_map, {0: 0, 1: 1.0, 2: 3}),
+    ):
+        assert not validate_embedding(triangle, host, Embedding(point_map, line_map))
+
+
+def _same_embedding(a, b):
+    """The search and the plain backtracking reference agree exactly, and a
+    witness, if any, passes the checker."""
+    emb, ref = embeds_as_subsystem(a, b), backtrack_embedding(a, b)
+    if emb is None or ref is None:
+        assert emb is None and ref is None
+        return None
+    assert (emb.point_map, emb.line_map) == (ref.point_map, ref.line_map)
+    assert validate_embedding(a, b, emb)
+    return emb
+
+
+def test_embedding_matches_backtrack_reference_on_named(pi3, c34, c_sys):
+    assert _same_embedding(c_sys, pi3) is not None
+    assert _same_embedding(c34, c_sys) is not None
+    assert _same_embedding(pi3, c_sys) is None
+    for ns in enumerate_c44():
+        assert _same_embedding(ns.system, pi3) is not None
+        assert _same_embedding(c_sys, ns.system) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(6, 8), st.integers(4, 7), st.integers(8, 10), st.integers(6, 12)),
+    seed=st.integers(0, 10_000),
+    seed2=st.integers(0, 10_000),
+)
+def test_embedding_matches_backtrack_reference_on_random(sizes, seed, seed2):
+    na, la, nb, lb = sizes
+    try:
+        a = random_linear_system(na, la, (2, 3), seed)
+        b = random_linear_system(nb, lb, (2, 4), seed2)
+    except GenerationExhausted:
+        return
+    _same_embedding(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.tuples(st.integers(4, 6), st.integers(3, 6), st.integers(6, 10)),
+    seed=st.integers(0, 10_000),
+    seed2=st.integers(0, 10_000),
+)
+def test_embeds_agrees_with_brute_force_at_depth(sizes, seed, seed2):
+    na, la, lb = sizes
+    try:
+        a = random_linear_system(na, la, (2, 3), seed)
+        b = random_linear_system(8, lb, (2, 3), seed2)
+    except GenerationExhausted:
+        return
+    emb = embeds_as_subsystem(a, b)
+    assert (emb is not None) == brute_embeds(a, b)
+    if emb is not None:
+        assert validate_embedding(a, b, emb)
+
+
+def test_embedding_degree_filter_alone_rejects():
+    # K4 fits the 8-cycle by size, but each of its points needs three lines
+    # and no host point has more than two: every domain starts empty
+    k4 = new_linear_system(4, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+    cycle = new_linear_system(8, [[i, (i + 1) % 8] for i in range(8)])
+    assert embeds_as_subsystem(k4, cycle) is None
+    assert backtrack_embedding(k4, cycle) is None
+    assert not brute_embeds(k4, cycle)
 
 
 @settings(max_examples=30, deadline=None)

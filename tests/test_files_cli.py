@@ -133,6 +133,22 @@ def test_cli_unwritable_outputs(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_cli_verify_checks_output_before_running(tmp_path, capsys, monkeypatch):
+    ran = []
+
+    def run_all(config):
+        ran.append(config)
+        raise AssertionError("the harness must not run")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["verify", "--out", str(taken)]) == cli.EXIT_BAD_PARAMS
+    assert "error: cannot write" in capsys.readouterr().err
+    assert ran == []
+    assert taken.read_text() == ""
+
+
 def test_cli_verify_rejects_negative_random(tmp_path, capsys):
     out_dir = tmp_path / "report"
     assert main(["verify", "--random", "-3", "--out", str(out_dir)]) == cli.EXIT_BAD_PARAMS

@@ -19,10 +19,10 @@ from .core import (
     LinearSystemError,
     TooLarge,
     _canonical_key,
-    _from_residual_lines,
     _is_int,
     _mask,
     _pair_line_index,
+    _restrict,
     embeds_as_subsystem,
     new_linear_system,
 )
@@ -172,13 +172,9 @@ def c34_from_pi3(k: int, l: int) -> NamedSystem:
         raise PointOnLine(f"line index {l!r} out of range")
     if k in pi3.lines[l]:
         raise PointOnLine(f"point {k} lies on line {l}")
-    drop_points = set(pi3.lines[l]) | {k}
-    residual = []
-    for i, line in enumerate(pi3.lines):
-        if i == l or k in line:
-            continue
-        residual.append(tuple(p for p in line if p not in drop_points))
-    system, _ = _from_residual_lines(residual)
+    keep = set(range(pi3.n_points)) - set(pi3.lines[l]) - {k}
+    lines = [i for i, line in enumerate(pi3.lines) if i != l and k not in line]
+    system, _ = _restrict(pi3, keep, lines)
     return NamedSystem("c34", system, (("q", 3), ("k", k), ("l", l)))
 
 
@@ -205,41 +201,18 @@ def triangle_delete(host: NamedSystem | LinearSystem, t: Triangle) -> NamedSyste
     isomorphism, whatever triangle is chosen.
     """
     sys = host.system if isinstance(host, NamedSystem) else host
+    if not all(map(_is_int, (*t.vertices, *t.sides))):
+        raise NotATriangle(f"{t} names a point or line by a non-integer")
     pair_line = _pair_line_index(sys)
     want = {pair_line.get(pair) for pair in itertools.combinations(sorted(t.vertices), 2)}
     if None in want or len(want) != 3 or want != set(t.sides):
         raise NotATriangle(f"{t} is not a triangle of this system")
-    drop_points = set(t.vertices)
-    residual = [
-        tuple(p for p in line if p not in drop_points)
-        for i, line in enumerate(sys.lines)
-        if i not in want
-    ]
-    system, _ = _from_residual_lines(residual)
+    keep = set(range(sys.n_points)) - set(t.vertices)
+    lines = [i for i in range(sys.n_lines) if i not in want]
+    system, _ = _restrict(sys, keep, lines)
     return NamedSystem(
         "c", system, (("vertices", t.vertices), ("sides", t.sides))
     )
-
-
-def _c44_candidate(
-    pi3: LinearSystem,
-    point_set: list[int],
-    line_indices: list[int],
-) -> LinearSystem | None:
-    """Restrict the chosen plane lines to the chosen point set; None when the
-    restrictions do not form a valid system."""
-    pset = set(point_set)
-    relabel = {old: new for new, old in enumerate(sorted(point_set))}
-    lines = []
-    for i in line_indices:
-        restricted = tuple(relabel[p] for p in pi3.lines[i] if p in pset)
-        if not restricted:
-            return None
-        lines.append(restricted)
-    try:
-        return new_linear_system(len(point_set), lines)
-    except LinearSystemError:
-        return None
 
 
 def _subsets(items) -> list[tuple]:
@@ -250,6 +223,31 @@ def _subsets(items) -> list[tuple]:
     return out
 
 
+def _c44_classes(
+    tri: Triangle, line_sets: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], LinearSystem]]:
+    """Restrict each line set to the points of pi:3 off ``tri`` plus each
+    subset of its vertices, and keep the systems with 2-packing number 4
+    that contain ``c``: the first ``(added vertices, line set, system)`` of
+    each isomorphism class, sorted by canonical key."""
+    pi3 = projective_plane(3).system
+    base = set(range(pi3.n_points)) - set(tri.vertices)
+    c_sys = c_explicit().system
+    found: dict[tuple, tuple] = {}
+    for added_pts in _subsets(tri.vertices):
+        keep = base | set(added_pts)
+        for chosen in line_sets:
+            cand, _ = _restrict(pi3, keep, chosen)
+            if two_packing_number(cand).value != 4:
+                continue
+            if embeds_as_subsystem(c_sys, cand) is None:
+                continue
+            key = _canonical_key(cand)
+            if key not in found:
+                found[key] = (added_pts, chosen, cand)
+    return [found[k] for k in sorted(found)]
+
+
 @lru_cache(maxsize=None)
 def enumerate_c44() -> tuple[NamedSystem, ...]:
     """All systems (up to isomorphism) that contain ``c`` as a linear
@@ -258,70 +256,33 @@ def enumerate_c44() -> tuple[NamedSystem, ...]:
 
     Strategy: fix the plane and its first triangle, then add back any subset
     of the triangle's vertices and any subset of its side lines, restricting
-    every chosen plane line to the enlarged point set.  Each survivor is
-    validated by explicit embedding checks in both directions before the
-    packing filter and canonical deduplication.
+    every chosen plane line to the enlarged point set.  Each such restriction
+    is a linear subsystem of the plane by construction; a candidate survives
+    when its 2-packing number is 4 and ``c`` embeds in it, and one member is
+    kept per isomorphism class.
     """
     pi3 = projective_plane(3).system
     tri = find_triangles(pi3)[0]
-    side_set = set(tri.sides)
-    parents = [i for i in range(pi3.n_lines) if i not in side_set]
-    base_points = sorted(set(range(pi3.n_points)) - set(tri.vertices))
-    c_sys = c_explicit().system
-
-    found: dict[tuple, NamedSystem] = {}
-    for added_pts in _subsets(tri.vertices):
-        point_set = sorted(base_points + list(added_pts))
-        for added_sides in _subsets(sorted(side_set)):
-            chosen = sorted(parents + list(added_sides))
-            cand = _c44_candidate(pi3, point_set, chosen)
-            if cand is None:
-                continue
-            if two_packing_number(cand).value != 4:
-                continue
-            if embeds_as_subsystem(c_sys, cand) is None:
-                continue
-            if embeds_as_subsystem(cand, pi3) is None:
-                continue
-            key = _canonical_key(cand)
-            if key not in found:
-                prov = (("added_points", added_pts), ("added_sides", added_sides))
-                found[key] = NamedSystem("c44", cand, prov)
+    parents = [i for i in range(pi3.n_lines) if i not in tri.sides]
+    sides_of = {tuple(sorted(parents + list(s))): s for s in _subsets(tri.sides)}
     return tuple(
-        NamedSystem(f"c44:{i}", ns.system, ns.provenance)
-        for i, ns in enumerate(found[k] for k in sorted(found))
+        NamedSystem(f"c44:{i}", cand, (("added_points", pts), ("added_sides", sides_of[chosen])))
+        for i, (pts, chosen, cand) in enumerate(_c44_classes(tri, list(sides_of)))
     )
 
 
 def enumerate_c44_exhaustive() -> tuple[LinearSystem, ...]:
-    """Slow oracle for :func:`enumerate_c44`: enumerate every subsystem of the
-    order-3 plane on a point superset of the triangle-deleted system and every
-    line subset of the restrictions, then filter by the same membership tests.
+    """Slow oracle for :func:`enumerate_c44`: the same search over every set
+    of at least as many plane lines as ``c`` has, not only the lines off the
+    triangle plus some of its sides.
 
     Returns the deduplicated members sorted by canonical key.
     """
     pi3 = projective_plane(3).system
     tri = find_triangles(pi3)[0]
-    base_points = sorted(set(range(pi3.n_points)) - set(tri.vertices))
-    c_sys = c_explicit().system
-    n_c_lines = c_sys.n_lines
-
-    found: dict[tuple, LinearSystem] = {}
-    for added_pts in _subsets(tri.vertices):
-        point_set = sorted(base_points + list(added_pts))
-        for k in range(n_c_lines, pi3.n_lines + 1):
-            for chosen in itertools.combinations(range(pi3.n_lines), k):
-                cand = _c44_candidate(pi3, point_set, list(chosen))
-                if cand is None:
-                    continue
-                if two_packing_number(cand).value != 4:
-                    continue
-                if embeds_as_subsystem(c_sys, cand) is None:
-                    continue
-                key = _canonical_key(cand)
-                if key not in found:
-                    found[key] = cand
-    return tuple(found[k] for k in sorted(found))
+    n_c = c_explicit().system.n_lines
+    line_sets = [s for s in _subsets(range(pi3.n_lines)) if len(s) >= n_c]
+    return tuple(cand for _, _, cand in _c44_classes(tri, line_sets))
 
 
 def random_linear_system(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 
 class LinearSystemError(Exception):
@@ -232,20 +232,20 @@ def lines_through(sys: LinearSystem, p: int) -> frozenset[int]:
 # structural reductions
 # ---------------------------------------------------------------------------
 
-def _from_residual_lines(residual: list[tuple[int, ...]]) -> tuple[LinearSystem, dict[int, int]]:
-    """Build the system induced by residual lines (in old point ids).
-
-    Empty residuals are dropped, equal residuals merged keeping first
-    occurrence, and the ground set becomes exactly the covered points.
-    Returns the new system and the old-to-new relabeling.
-    """
+def _restrict(
+    sys: LinearSystem, keep: Container[int], line_indices: Iterable[int]
+) -> tuple[LinearSystem, dict[int, int]]:
+    """The chosen lines of ``sys``, in the given order, cut down to the kept
+    points: empty restrictions are dropped, equal ones merged keeping the
+    first, and the ground set shrinks to the covered points.  Returns the new
+    system and the old-to-new relabeling."""
     kept: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for line in residual:
-        if not line or line in seen:
-            continue
-        seen.add(line)
-        kept.append(line)
+    for i in line_indices:
+        line = tuple(p for p in sys.lines[i] if p in keep)
+        if line and line not in seen:
+            seen.add(line)
+            kept.append(line)
     covered = sorted({p for line in kept for p in line})
     relabel = {old: new for new, old in enumerate(covered)}
     new_lines = [tuple(relabel[p] for p in line) for line in kept]
@@ -256,15 +256,13 @@ def delete_point(sys: LinearSystem, p: int) -> tuple[LinearSystem, dict[int, int
     """System induced by the lines with ``p`` removed (ground set shrinks to
     the points the residual lines still cover)."""
     _check_point(sys, p)
-    residual = [tuple(q for q in line if q != p) for line in sys.lines]
-    return _from_residual_lines(residual)
+    return _restrict(sys, set(range(sys.n_points)) - {p}, range(sys.n_lines))
 
 
 def delete_line(sys: LinearSystem, l: int) -> tuple[LinearSystem, dict[int, int]]:
     """Induced subsystem on all lines except ``l``."""
     _check_line(sys, l)
-    residual = [line for i, line in enumerate(sys.lines) if i != l]
-    return _from_residual_lines(residual)
+    return _restrict(sys, range(sys.n_points), (i for i in range(sys.n_lines) if i != l))
 
 
 def induced_subsystem(
@@ -274,8 +272,7 @@ def induced_subsystem(
     chosen = sorted(set(line_subset))
     for l in chosen:
         _check_line(sys, l)
-    residual = [sys.lines[l] for l in chosen]
-    return _from_residual_lines(residual)
+    return _restrict(sys, range(sys.n_points), chosen)
 
 
 def prune_low_degree(sys: LinearSystem) -> tuple[LinearSystem, dict[int, int]]:
@@ -285,10 +282,8 @@ def prune_low_degree(sys: LinearSystem) -> tuple[LinearSystem, dict[int, int]]:
     single sweep suffices; lines shrink accordingly and emptied lines are
     dropped.
     """
-    counts = _degree_counts(sys)
-    keepset = {p for p in range(sys.n_points) if counts[p] >= 2}
-    residual = [tuple(q for q in line if q in keepset) for line in sys.lines]
-    return _from_residual_lines(residual)
+    keep = {p for p, c in enumerate(_degree_counts(sys)) if c >= 2}
+    return _restrict(sys, keep, range(sys.n_lines))
 
 
 def _pair_line_index(sys: LinearSystem) -> dict[tuple[int, int], int]:

@@ -410,9 +410,8 @@ def exhaustive_small(
                         )
                         if fresh == 0 and newline in sys.lines:
                             continue
-                        cand = new_linear_system(
-                            sys.n_points + fresh, sys.lines + (newline,)
-                        )
+                        # valid by the checks above: no second validation
+                        cand = LinearSystem(sys.n_points + fresh, sys.lines + (newline,))
                         key = _canonical_search(cand)
                         if key not in level:
                             # keyed by rep's own tuples, so each class is held once

@@ -20,7 +20,8 @@ from linsys import (
     triangle_delete,
     two_packing_number,
 )
-from linsys.constructions import GenerationExhausted
+from linsys.constructions import GenerationExhausted, _subsets
+from linsys.core import _restrict
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -104,6 +105,16 @@ def test_triangle_delete(pi3, c_sys):
     k4 = new_linear_system(4, itertools.combinations(range(4), 2))
     ns = triangle_delete(k4, Triangle((0, 1, 2), (0, 1, 3)))
     assert ns.system.n_points == 1 and ns.system.lines == ((0,),)
+    # pi:3's first triangle, named with ids that are not ints: True == 1 and
+    # 1.0 == 1, so only the type check rejects them
+    assert tri == Triangle((0, 1, 4), (0, 1, 4))
+    for bad in [
+        Triangle((0, 1.0, 4), (0, 1, 4)),
+        Triangle((False, 1, 4), (0, 1, 4)),
+        Triangle((0, 1, 4), (0.0, 1, 4)),
+    ]:
+        with pytest.raises(NotATriangle):
+            triangle_delete(pi3, bad)
 
 
 def _c_remark_bullets(s):
@@ -153,6 +164,24 @@ def test_enumerate_c44_membership(c_sys, pi3):
         assert embeds_as_subsystem(c_sys, s) is not None
         assert embeds_as_subsystem(s, pi3) is not None
         assert c_sys.n_lines <= s.n_lines <= c_sys.n_lines + 3
+
+
+def test_c44_restrictions_never_collapse(pi3, c_sys):
+    """Every restriction either c44 search tries keeps all its lines and
+    points, and each family member replays from its provenance."""
+    tri = find_triangles(pi3)[0]
+    base = set(range(pi3.n_points)) - set(tri.vertices)
+    for added in _subsets(tri.vertices):
+        for k in range(c_sys.n_lines, pi3.n_lines + 1):
+            for chosen in itertools.combinations(range(pi3.n_lines), k):
+                s, _ = _restrict(pi3, base | set(added), chosen)
+                assert (s.n_points, s.n_lines) == (10 + len(added), len(chosen))
+    parents = [i for i in range(pi3.n_lines) if i not in tri.sides]
+    for ns in enumerate_c44():
+        prov = ns.prov()
+        keep = base | set(prov["added_points"])
+        chosen = sorted(parents + list(prov["added_sides"]))
+        assert _restrict(pi3, keep, chosen)[0] == ns.system
 
 
 def test_enumerate_c44_contains_endpoints(c_sys, pi3):

@@ -48,6 +48,8 @@ def test_exhaustive_small_no_isomorphic_duplicates():
     keys = [(s.n_points, s.lines) for s in out]
     assert len(keys) == len(set(keys))
     assert all(s.n_points == len({p for l in s.lines for p in l}) for s in out)
+    # candidates skip validation, so check each class passes it unchanged
+    assert all(new_linear_system(s.n_points, s.lines) == s for s in out)
 
 
 def test_exhaustive_small_guards():

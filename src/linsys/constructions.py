@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    BadPointId,
     LinearSystem,
     LinearSystemError,
     TooLarge,
@@ -285,6 +286,36 @@ def enumerate_c44_exhaustive() -> tuple[LinearSystem, ...]:
     return tuple(cand for _, _, cand in _c44_classes(tri, line_sets))
 
 
+def _free_set_exists(free: list[int], cand: int, k: int) -> bool:
+    """Whether ``k`` points of the mask ``cand`` are pairwise free, where
+    ``free[p]`` is the mask of the points that share no line with ``p``."""
+    if k == 0:
+        return True
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        cand ^= low
+        # later points only, so each set is tried once, in increasing order
+        if _free_set_exists(free, cand & free[low.bit_length() - 1], k - 1):
+            return True
+    return False
+
+
+def _line_fits(free: list[int], singles: int, lo: int, hi: int) -> bool:
+    """Whether some new line of ``lo`` to ``hi`` points (``1 <= lo <= hi``)
+    meets every line in at most one point and is not a line already.
+
+    ``free[p]`` is the mask of the points that share no line with ``p`` and
+    ``singles`` the mask of the points whose singleton is a line.  A line of
+    two or more points fits iff its points are pairwise free, and any
+    ``lo`` of them fit too, so for ``lo >= 2`` it asks for ``lo`` pairwise
+    free points.  A singleton fits iff it is not a line yet.
+    """
+    everyone = (1 << len(free)) - 1
+    if lo >= 2:
+        return _free_set_exists(free, everyone, lo)
+    return singles != everyone or (hi >= 2 and _free_set_exists(free, everyone, 2))
+
+
 def random_linear_system(
     n_points: int,
     n_lines: int,
@@ -292,13 +323,20 @@ def random_linear_system(
     seed: int,
 ) -> LinearSystem:
     """Seeded rejection sampler: draw random point subsets in the size range
-    and accept a draw iff it meets every accepted line in at most one point.
+    and accept a draw iff it meets every accepted line in at most one point
+    and is not a line already.
 
-    Deterministic for a fixed seed; raises :class:`GenerationExhausted` once
-    the rejection budget runs out.
+    Deterministic for a fixed seed.  Raises :class:`GenerationExhausted` as
+    soon as no line in the size range fits next to the accepted ones, or
+    once the rejection budget runs out; :class:`BadPointId` for a point
+    count that is not an int.
     """
+    if not _is_int(n_points):
+        raise BadPointId(f"point count must be an integer, got {n_points!r}")
+    if not _is_int(n_lines) or n_lines < 0:
+        raise GenerationExhausted(f"line count must be a nonnegative integer, got {n_lines!r}")
     lo, hi = line_size_range
-    if lo < 1 or hi < lo:
+    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
         raise GenerationExhausted(f"infeasible size range {line_size_range}")
     if lo > n_points:
         raise GenerationExhausted(
@@ -307,8 +345,10 @@ def random_linear_system(
     hi = min(hi, n_points)
     rng = random.Random(seed)
     lines: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    lineset: set[tuple[int, ...]] = set()
+    # free[p]: the points that share no accepted line with p
+    free = [((1 << n_points) - 1) ^ (1 << p) for p in range(n_points)]
+    singles = 0  # the points whose singleton is an accepted line
+    untested = False  # a line was accepted since _line_fits last ran
     attempts = 0
     budget = 400 * n_lines + 200
     while len(lines) < n_lines:
@@ -319,12 +359,25 @@ def random_linear_system(
             )
         size = rng.randint(lo, hi)
         pts = tuple(sorted(rng.sample(range(n_points), size)))
-        if pts in lineset:
-            continue
         m = _mask(pts)
-        if any((m & em).bit_count() > 1 for em in masks):
+        if size == 1:
+            ok = not singles & m
+        else:
+            ok = all(m & free[p] == m ^ (1 << p) for p in pts)
+        if not ok:
+            # asked on the first rejection after an acceptance, not on every
+            # acceptance: most acceptances are followed by another one
+            if untested:
+                untested = False
+                if not _line_fits(free, singles, lo, hi):
+                    raise GenerationExhausted(
+                        f"no line of {lo} to {hi} points fits after {len(lines)}/{n_lines} lines"
+                    )
             continue
         lines.append(pts)
-        masks.append(m)
-        lineset.add(pts)
+        if size == 1:
+            singles |= m
+        for p in pts:
+            free[p] &= ~m
+        untested = True
     return new_linear_system(n_points, lines)

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
 from .core import (
@@ -37,7 +37,13 @@ from .constructions import (
     random_linear_system,
 )
 from .files import from_instance_dict, to_instance_dict
-from .planarity import incidence_graph, planar, validate_verdict, zykov_planar
+from .planarity import (
+    PlanarityVerdict,
+    incidence_graph,
+    planar,
+    validate_verdict,
+    zykov_planar,
+)
 from .solvers import (
     _HYPERGRAPH_MAX_VERTICES,
     _ORACLE_MAX_LINES,
@@ -106,6 +112,16 @@ class Instance:
     def planar(self) -> bool:
         return planar(incidence_graph(self.system))
 
+    @cached_property
+    def verdict(self) -> PlanarityVerdict:
+        """Planarity with its certificate; :attr:`planar` is cheaper where
+        only the answer is needed."""
+        return zykov_planar(self.system)
+
+    @cached_property
+    def key(self) -> tuple:
+        return _canonical_key(self.system)
+
     def to_dict(self) -> dict:
         return to_instance_dict(self.system, name=self.name)
 
@@ -138,9 +154,9 @@ class Claim:
 
     ``applies`` selects the instances the claim counts, and ``violations``
     yields one description per broken clause.  ``extremal``, when set, is
-    checked on every system of the equality family ahead of the corpus,
-    with no filter.  Both read :class:`Instance`'s lazy properties, so the
-    order of their conditions decides what gets computed.
+    checked on every system of :func:`_equality_family` ahead of the
+    corpus, with no filter.  Both read :class:`Instance`'s lazy properties,
+    so the order of their conditions decides what gets computed.
     """
 
     claim_id: str
@@ -150,36 +166,27 @@ class Claim:
     extremal: Callable[[Instance], Iterable[str]] | None = None
 
 
-def _extremal_instances() -> list[Instance]:
-    """The systems attaining tau = nu2 = 4: c34 and the c44 family."""
-    out = [Instance("c34", c34_explicit().system)]
-    return out + [Instance(ns.name, ns.system) for ns in enumerate_c44()]
+@cache
+def _equality_family() -> tuple[Instance, ...]:
+    """The systems attaining tau = nu2 = 4: c34 and the c44 family.
+
+    Built once per process, so the verdicts and canonical keys cached on
+    these instances are computed once, not once per :func:`run_all`.
+    """
+    c44 = (Instance(ns.name, ns.system) for ns in enumerate_c44())
+    return (Instance("c34", c34_explicit().system), *c44)
 
 
-def _classification_claim(extremals: list[Instance]) -> Claim:
-    pi3 = projective_plane(3).system
-    family_keys = {_canonical_key(inst.system) for inst in extremals}
-
-    def violations(inst: Instance) -> list[str]:
-        if inst.tau > 4:
-            return [f"nu2=4 but tau={inst.tau}"]
-        if inst.tau < 4:
-            return []
-        if embeds_as_subsystem(inst.system, pi3) is None:
-            return ["tau=nu2=4 but no embedding into the order-3 plane"]
-        if _canonical_key(inst.system) not in family_keys:
-            return ["tau=nu2=4 but not isomorphic to a known extremal system"]
+def _classification_violations(inst: Instance) -> list[str]:
+    if inst.tau > 4:
+        return [f"nu2=4 but tau={inst.tau}"]
+    if inst.tau < 4:
         return []
-
-    return Claim(
-        "nu2-4-tau-le-4-extremal-classification",
-        "With more than four lines, nu2 = 4 forces tau <= 4; every system "
-        "attaining tau = 4 embeds in the order-3 projective plane and is "
-        "isomorphic to the 8/8 extremal system or to a member of the "
-        "enumerated c44 family.",
-        lambda i: i.nu2 == 4 and i.n_lines > 4,
-        violations,
-    )
+    if embeds_as_subsystem(inst.system, projective_plane(3).system) is None:
+        return ["tau=nu2=4 but no embedding into the order-3 plane"]
+    if inst.key not in {f.key for f in _equality_family()}:
+        return ["tau=nu2=4 but not isomorphic to a known extremal system"]
+    return []
 
 
 def _hypergraph_violations(inst: Instance) -> list[str]:
@@ -192,10 +199,11 @@ def _hypergraph_violations(inst: Instance) -> list[str]:
 
 
 def _extremal_planarity_violations(inst: Instance) -> list[str]:
-    verdict = zykov_planar(inst.system)
-    if verdict.planar:
+    # the verdict is cached on the family's instances; its check (well under
+    # a millisecond) runs every time, so a tampered verdict is still caught
+    if inst.verdict.planar:
         return ["extremal system has planar incidence graph"]
-    if not validate_verdict(incidence_graph(inst.system), verdict):
+    if not validate_verdict(incidence_graph(inst.system), inst.verdict):
         return ["extremal system's Kuratowski witness fails validation"]
     return []
 
@@ -208,7 +216,7 @@ def _sandwich_violations(inst: Instance) -> list[str]:
     return [f"tau={inst.tau} outside [{lo}, {hi}] for nu2={inst.nu2}"]
 
 
-def _claims(extremals: list[Instance]) -> tuple[Claim, ...]:
+def _claims() -> tuple[Claim, ...]:
     """Every claim, in report order."""
     return (
         Claim(
@@ -239,7 +247,15 @@ def _claims(extremals: list[Instance]) -> tuple[Claim, ...]:
             lambda i: i.nu2 == 4 and i.delta >= 5,
             lambda i: [] if i.tau <= 3 else [f"nu2=4, delta={i.delta}, tau={i.tau}"],
         ),
-        _classification_claim(extremals),
+        Claim(
+            "nu2-4-tau-le-4-extremal-classification",
+            "With more than four lines, nu2 = 4 forces tau <= 4; every system "
+            "attaining tau = 4 embeds in the order-3 projective plane and is "
+            "isomorphic to the 8/8 extremal system or to a member of the "
+            "enumerated c44 family.",
+            lambda i: i.nu2 == 4 and i.n_lines > 4,
+            _classification_violations,
+        ),
         Claim(
             "planar-nu2-234-tau-strictly-below",
             "Every system whose incidence graph is planar, with nu2 in {2,3,4} and "
@@ -271,10 +287,10 @@ def _claims(extremals: list[Instance]) -> tuple[Claim, ...]:
     )
 
 
-def _run(claim: Claim, instances: list[Instance], extremals: list[Instance]) -> ClaimReport:
+def _run(claim: Claim, instances: list[Instance]) -> ClaimReport:
     rep = ClaimReport(claim_id=claim.claim_id, statement=claim.statement)
     t0 = time.perf_counter()
-    extremal = [(inst, claim.extremal) for inst in extremals] if claim.extremal else []
+    extremal = [(inst, claim.extremal) for inst in _equality_family()] if claim.extremal else []
     corpus = ((inst, claim.violations) for inst in instances if claim.applies(inst))
     for inst, violations in itertools.chain(extremal, corpus):
         rep.instances_checked += 1
@@ -447,8 +463,7 @@ def run_all(config: VerifyConfig | None = None) -> list[ClaimReport]:
             instances.append(Instance(f"exhaustive-{i}", sys))
     if config.n_random > 0:
         instances.extend(random_instances(config.seed, config.n_random))
-    extremals = _extremal_instances()
-    return [_run(claim, instances, extremals) for claim in _claims(extremals)]
+    return [_run(claim, instances) for claim in _claims()]
 
 
 _REPORT_PREFACE = (

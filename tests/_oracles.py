@@ -7,12 +7,14 @@ searches) and must stay independent of the algorithms it validates.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Optional
 
 import networkx as nx
 
-from linsys import LinearSystem, prune_low_degree
-from linsys.core import Embedding, _incidence, _pair_line_index
+from linsys import LinearSystem, new_linear_system, prune_low_degree
+from linsys.constructions import GenerationExhausted
+from linsys.core import Embedding, _incidence, _mask, _pair_line_index
 from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
 
 
@@ -228,3 +230,55 @@ def greedy_kuratowski_witness(g: Graph) -> KuratowskiWitness:
         if not nx.check_planarity(nxg)[0]:
             work = trial
     return _decompose_subdivision(work)
+
+
+def rejection_sampler(
+    n_points: int, n_lines: int, line_size_range: tuple[int, int], seed: int
+) -> LinearSystem:
+    """Reference for ``random_linear_system``: the plain rejection loop,
+    which draws until it has ``n_lines`` lines or its budget runs out, with
+    no test of whether a line can still fit."""
+    lo, hi = line_size_range
+    if lo < 1 or hi < lo:
+        raise GenerationExhausted(f"infeasible size range {line_size_range}")
+    if lo > n_points:
+        raise GenerationExhausted(
+            f"size range {line_size_range} infeasible with {n_points} points"
+        )
+    hi = min(hi, n_points)
+    rng = random.Random(seed)
+    lines: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    lineset: set[tuple[int, ...]] = set()
+    attempts = 0
+    budget = 400 * n_lines + 200
+    while len(lines) < n_lines:
+        attempts += 1
+        if attempts > budget:
+            raise GenerationExhausted(
+                f"gave up after {attempts} draws with {len(lines)}/{n_lines} lines"
+            )
+        size = rng.randint(lo, hi)
+        pts = tuple(sorted(rng.sample(range(n_points), size)))
+        if pts in lineset:
+            continue
+        m = _mask(pts)
+        if any((m & em).bit_count() > 1 for em in masks):
+            continue
+        lines.append(pts)
+        masks.append(m)
+        lineset.add(pts)
+    return new_linear_system(n_points, lines)
+
+
+def brute_line_fits(
+    n_points: int, lines: list[tuple[int, ...]], lo: int, hi: int
+) -> bool:
+    """Whether some set of ``lo`` to ``hi`` points is not a line and meets
+    every line in at most one point, by trying every such set."""
+    taken = set(lines)
+    return any(
+        pts not in taken and all(len(set(pts) & set(l)) <= 1 for l in lines)
+        for size in range(lo, min(hi, n_points) + 1)
+        for pts in itertools.combinations(range(n_points), size)
+    )

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linsys import (
+    BadPointId,
     NotATriangle,
     NotPrime,
     PointOnLine,
@@ -20,8 +23,11 @@ from linsys import (
     triangle_delete,
     two_packing_number,
 )
-from linsys.constructions import GenerationExhausted, _subsets
+from linsys.constructions import GenerationExhausted, _line_fits, _subsets
 from linsys.core import _restrict
+from linsys.verify import _RANDOM_PROFILES
+
+from _oracles import brute_line_fits, rejection_sampler
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -196,10 +202,80 @@ def test_random_generator_contract():
     assert a == b
     c = random_linear_system(10, 6, (2, 4), 124)
     assert a != c  # astronomically unlikely to collide
-    with pytest.raises(GenerationExhausted):
+    # three points have three pairs, so at most three lines fit; seed 0
+    # draws the whole ground set first, which leaves no free pair
+    with pytest.raises(GenerationExhausted, match="no line of 2 to 3 points fits after 1/40"):
         random_linear_system(3, 40, (2, 3), 0)
     with pytest.raises(GenerationExhausted):
         random_linear_system(4, 2, (5, 6), 0)
+
+
+def test_random_generator_rejects_malformed_arguments():
+    for n_points in (2.5, True, "5"):
+        with pytest.raises(BadPointId):
+            random_linear_system(n_points, 1, (1, 2), 0)
+    for n_lines in (-1, 2.0, True, None):
+        with pytest.raises(GenerationExhausted):
+            random_linear_system(5, n_lines, (2, 3), 0)
+    for sizes in ((2.0, 3), (2, 3.5), (False, 2), (1, True)):
+        with pytest.raises(GenerationExhausted):
+            random_linear_system(5, 2, sizes, 0)
+    assert random_linear_system(5, 0, (2, 3), 0).n_lines == 0
+
+
+def _draw(sampler, *args):
+    try:
+        return sampler(*args)
+    except GenerationExhausted:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_points=st.integers(1, 10),
+    n_lines=st.integers(0, 12),
+    lo=st.integers(1, 4),
+    spread=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_random_generator_matches_rejection_loop(n_points, n_lines, lo, spread, seed):
+    """Stopping once no line fits changes no draw: both return the same
+    system or both raise."""
+    args = (n_points, n_lines, (lo, lo + spread), seed)
+    assert _draw(random_linear_system, *args) == _draw(rejection_sampler, *args)
+
+
+def test_random_generator_matches_rejection_loop_on_harness_profiles():
+    outcomes = set()
+    for n_points, n_lines, sizes in _RANDOM_PROFILES:
+        for seed in range(60):
+            got = _draw(random_linear_system, n_points, n_lines, sizes, seed)
+            assert got == _draw(rejection_sampler, n_points, n_lines, sizes, seed)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_line_fits_matches_brute_force():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        lines: list[tuple[int, ...]] = []
+        for _ in range(rng.randint(0, 30)):
+            pts = tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+            if pts not in lines and all(len(set(pts) & set(l)) <= 1 for l in lines):
+                lines.append(pts)
+        free = [
+            sum(1 << q for q in range(n) if q != p and not any({p, q} <= set(l) for l in lines))
+            for p in range(n)
+        ]
+        singles = sum(1 << l[0] for l in lines if len(l) == 1)
+        for lo in range(1, min(4, n) + 1):
+            for hi in range(lo, n + 1):
+                want = brute_line_fits(n, lines, lo, hi)
+                assert _line_fits(free, singles, lo, hi) == want, (n, lines, lo, hi)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_random_generator_yields_packing_four_instances():

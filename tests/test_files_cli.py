@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import linsys
 from linsys import (
     LinearityViolation,
     load_instance,
@@ -283,3 +287,14 @@ def test_exported_fixture_files(pi3, c34, c_sys):
     assert load_instance(FIXTURES / "pi5.json").n_points == 31
     members = sorted((FIXTURES / "c44").glob("member_*.json"))
     assert len(members) == 8
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "linsys", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: linsys")
+    assert "verify" in done.stdout

@@ -231,6 +231,6 @@ def test_six_point_straight_line_system_outside_the_planar_proxy():
     assert validate_verdict(incidence_graph(s), v)
     assert transversal_number(s).value == 2
     assert two_packing_number(s).value == 4
-    claim = next(c for c in verify._claims([])
+    claim = next(c for c in verify._claims()
                  if c.claim_id == "planar-nu2-234-tau-strictly-below")
     assert not claim.applies(Instance("six-point", s))

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from linsys import (
     NamedSystem,
+    PlanarityVerdict,
     TooLarge,
     canonical_relabel,
     exhaustive_small,
@@ -122,7 +124,17 @@ def _pinned(name, system, tau, nu2, planar):
     return inst
 
 
-def test_forced_violations_per_claim(monkeypatch):
+@pytest.fixture
+def fresh_family():
+    """Build the cached equality family anew for the test, and drop it
+    after, so that a family built from patched constructions does not
+    outlive the test."""
+    verify._equality_family.cache_clear()
+    yield
+    verify._equality_family.cache_clear()
+
+
+def test_forced_violations_per_claim(monkeypatch, fresh_family):
     """Pinned tau, nu2 and planarity values break every clause of every
     claim; each claim must count and describe exactly these violations."""
     hexagon = new_linear_system(6, [[i, (i + 1) % 6] for i in range(6)])
@@ -202,4 +214,54 @@ def test_extremal_witnesses_are_validated(monkeypatch):
     assert [(ce["instance"]["name"], ce["violation"]) for ce in planar.counterexamples] == [
         (name, "extremal system's Kuratowski witness fails validation")
         for name in ["c34"] + [f"c44:{k}" for k in range(8)]
+    ]
+
+
+_PLANAR_CLAIM = "planar-nu2-234-tau-strictly-below"
+
+
+def _triples(reports):
+    return [(r.claim_id, r.instances_checked, r.counterexamples) for r in reports]
+
+
+def test_equality_family_is_built_once_per_process(fresh_family):
+    config = VerifyConfig(seed=21, n_random=50, exhaustive_bounds=None, include_fixtures=False)
+    first = run_all(config)
+    family = verify._equality_family()
+    assert [inst.name for inst in family] == ["c34"] + [f"c44:{k}" for k in range(8)]
+    # the first run left each member's verdict cached on it
+    assert all("verdict" in inst.__dict__ for inst in family)
+    second = run_all(config)
+    assert verify._equality_family() is family
+    verify._equality_family.cache_clear()
+    third = run_all(config)
+    assert verify._equality_family() is not family
+    assert _triples(first) == _triples(second) == _triples(third)
+    # every run still counts the 9 family systems in the planar claim
+    claim = next(c for c in verify._claims() if c.claim_id == _PLANAR_CLAIM)
+    in_corpus = sum(map(claim.applies, random_instances(21, 50)))
+    for reports in (first, second, third):
+        (planar,) = [r for r in reports if r.claim_id == _PLANAR_CLAIM]
+        assert planar.instances_checked == 9 + in_corpus
+
+
+@pytest.mark.parametrize("tamper", ["planar", "witness"])
+def test_tampered_cached_verdict_is_a_counterexample(monkeypatch, tamper):
+    """A cached verdict is checked again on every run, so one that turns
+    planar or loses a witness path after it was cached is still caught."""
+    target = verify._equality_family()[3]
+    verdict = target.verdict
+    if tamper == "planar":
+        bad = PlanarityVerdict(planar=True)
+        want = "extremal system has planar incidence graph"
+    else:
+        short = dataclasses.replace(verdict.witness, paths=verdict.witness.paths[1:])
+        bad = dataclasses.replace(verdict, witness=short)
+        want = "extremal system's Kuratowski witness fails validation"
+    monkeypatch.setitem(target.__dict__, "verdict", bad)
+    reports = run_all(VerifyConfig(n_random=0, exhaustive_bounds=None, include_fixtures=False))
+    (planar,) = [r for r in reports if r.claim_id == _PLANAR_CLAIM]
+    assert planar.instances_checked == 9
+    assert [(ce["instance"]["name"], ce["violation"]) for ce in planar.counterexamples] == [
+        ("c44:2", want)
     ]

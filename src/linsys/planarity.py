@@ -19,7 +19,7 @@ from typing import Optional
 
 import networkx as nx
 
-from .core import LinearSystem
+from .core import LinearSystem, _is_int
 
 
 class GraphError(Exception):
@@ -59,14 +59,14 @@ def new_graph(
 ) -> Graph:
     """Validate a simple graph: no loops, no repeated edges, and when a
     bipartition is given every edge must cross it."""
-    if n_vertices < 0:
-        raise GraphError(f"negative vertex count {n_vertices}")
+    if not _is_int(n_vertices) or n_vertices < 0:
+        raise GraphError(f"vertex count must be a nonnegative integer, got {n_vertices!r}")
     norm: set[tuple[int, int]] = set()
     for u, v in edges:
+        if not (_is_int(u) and _is_int(v) and 0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise GraphError(f"edge ({u!r}, {v!r}) needs int ids in [0, {n_vertices})")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise GraphError(f"edge ({u}, {v}) out of range")
         e = (u, v) if u < v else (v, u)
         if e in norm:
             raise GraphError(f"duplicate edge {e}")
@@ -263,9 +263,10 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    for v in range(g.n_vertices):
-        rot = rotation.get(v)
-        if rot is None or set(rot) != adj[v] or len(rot) != len(adj[v]):
+    if rotation.keys() != adj.keys():
+        return False
+    for v, rot in rotation.items():
+        if set(rot) != adj[v] or len(rot) != len(adj[v]):
             return False
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, rot in rotation.items():

@@ -1,8 +1,11 @@
 """Exact transversal and 2-packing solvers with witness certificates.
 
-The main solvers are branch-and-bound searches over bitmask state; the
-``brute_force_*`` twins enumerate subsets outright and exist so tests can
-cross-check the optimized path on every instance that fits their guards.
+Each main solver is one pruned decision search over bitmask state, shared
+by the pass that finds the optimum and the pass that fixes the
+lexicographically least witness; tau counts its budget up from 1 with no
+greedy start.  The ``brute_force_*`` twins enumerate subsets outright and
+exist so tests can cross-check the optimized path on every instance that
+fits their guards.
 """
 
 from __future__ import annotations
@@ -63,91 +66,60 @@ def is_two_packing(sys: LinearSystem, line_indices) -> bool:
 def transversal_number(sys: LinearSystem) -> Certificate:
     """Minimum transversal with the lexicographically smallest witness.
 
-    Branch and bound: branch on an uncovered line of minimum size over its
-    points; the upper bound comes from a greedy max-coverage start.  The
-    admissible lower bound on the points still needed is the larger of two
-    counts over the uncovered lines: a greedy set of pairwise disjoint ones
-    (each needs its own point), and their number divided, rounded up, by the
-    most of them any one point covers.  The second count is what prunes
-    projective planes, where every two lines meet and the first is always 1.
-    A second pass, pruned by the same bound, fixes the witness to the
-    lexicographically least minimum transversal.
+    Both passes ask one decision search, ``coverable(uncovered, budget,
+    lo)``: can the bitmask ``uncovered`` of lines be hit with ``budget``
+    points of id at least ``lo``?  A node branches over the points of the
+    first uncovered line of least size.  It is cut when the budget is below
+    either of two counts over the uncovered lines: a greedy set of pairwise
+    disjoint ones (each needs its own point), and their number divided,
+    rounded up, by the most of them any one point covers.  The second count
+    is what prunes projective planes, where every two lines meet and the
+    first is always 1.  tau is the least budget, counting up from 1, for
+    which all lines are coverable, so no greedy start is needed: the call
+    with budget ``tau - 1`` is the failed search that proves the optimum.
+    The witness pass then fixes the points one at a time, each the least id
+    after which the rest of the budget still covers what is left.
     """
     m = sys.n_lines
     if m == 0:
         return Certificate("transversal", (), 0)
+    masks = sys.masks
+    lines = sys.lines
+    line_sizes = [len(l) for l in lines]
     cover = [_mask(ls) for ls in _incidence(sys)]
     full = (1 << m) - 1
-    line_sizes = [len(l) for l in sys.lines]
-
-    # greedy upper bound
-    unc = full
-    ub = 0
-    while unc:
-        best_p, best_c = 0, -1
-        for p in range(sys.n_points):
-            c = (cover[p] & unc).bit_count()
-            if c > best_c:
-                best_p, best_c = p, c
-        unc &= ~cover[best_p]
-        ub += 1
-
-    def disjoint_lb(uncovered: int) -> int:
-        taken = 0
-        cnt = 0
-        rest = uncovered
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            if sys.masks[i] & taken == 0:
-                taken |= sys.masks[i]
-                cnt += 1
-        return cnt
-
-    def lower_bound(uncovered: int) -> int:
-        most = max((c & uncovered).bit_count() for c in cover)
-        return max(disjoint_lb(uncovered), -(-uncovered.bit_count() // most))
-
-    def pick_line(uncovered: int) -> int:
-        best_i, best_s = -1, 1 << 30
-        rest = uncovered
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            if line_sizes[i] < best_s:
-                best_i, best_s = i, line_sizes[i]
-        return best_i
-
-    best = ub
-
-    def dfs(uncovered: int, depth: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            if depth < best:
-                best = depth
-            return
-        if depth + lower_bound(uncovered) >= best:
-            return
-        i = pick_line(uncovered)
-        for p in sys.lines[i]:
-            dfs(uncovered & ~cover[p], depth + 1)
-
-    dfs(full, 0)
-    tau = best
 
     def coverable(uncovered: int, budget: int, lo: int) -> bool:
-        """Can the uncovered lines be hit with ``budget`` points of id >= lo?"""
         if uncovered == 0:
             return True
-        if budget <= 0 or lower_bound(uncovered) > budget:
+        if budget <= 0:
             return False
-        i = pick_line(uncovered)
-        for p in sys.lines[i]:
+        taken = 0
+        disjoint = 0
+        pick, pick_size = -1, 1 << 30
+        rest = uncovered
+        while rest:
+            b = rest & -rest
+            i = b.bit_length() - 1
+            rest ^= b
+            if masks[i] & taken == 0:
+                taken |= masks[i]
+                disjoint += 1
+            if line_sizes[i] < pick_size:
+                pick, pick_size = i, line_sizes[i]
+        if disjoint > budget:
+            return False
+        most = max((c & uncovered).bit_count() for c in cover)
+        if -(-uncovered.bit_count() // most) > budget:
+            return False
+        for p in lines[pick]:
             if p >= lo and coverable(uncovered & ~cover[p], budget - 1, lo):
                 return True
         return False
+
+    tau = 1
+    while not coverable(full, tau, 0):
+        tau += 1
 
     members: list[int] = []
     unc = full

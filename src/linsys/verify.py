@@ -22,6 +22,7 @@ from .core import (
     TooLarge,
     _canonical_key,
     _canonical_search,
+    _is_int,
     _mask,
     embeds_as_subsystem,
     max_degree,
@@ -394,16 +395,22 @@ def exhaustive_small(
     Orderly line-by-line extension: lines are added in non-increasing size
     order (every system can be built that way), new points take the next free
     ids, and each level is deduplicated by canonical encoding.  Ground sets
-    carry no isolated points.
+    carry no isolated points.  Raises :class:`GenerationExhausted` for a
+    bound that is not a nonnegative int or a size range that is not two
+    ints with ``1 <= lo <= hi``.
     """
+    if not all(_is_int(b) and b >= 0 for b in (max_points, max_lines)):
+        raise GenerationExhausted(
+            f"bounds must be nonnegative integers, got {max_points!r}/{max_lines!r}"
+        )
     if max_points > 9 or max_lines > 7:
         raise TooLarge(
             f"exhaustive generation limited to 9 points / 7 lines, got "
             f"{max_points}/{max_lines}"
         )
     lo, hi = size_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad size range {size_range}")
+    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
+        raise GenerationExhausted(f"infeasible size range {size_range}")
     hi = min(hi, max_points)
     empty = new_linear_system(0, [])
     out = [empty]

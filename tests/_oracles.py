@@ -16,6 +16,7 @@ from linsys import LinearSystem, new_linear_system, prune_low_degree
 from linsys.constructions import GenerationExhausted
 from linsys.core import Embedding, _incidence, _mask, _pair_line_index
 from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
+from linsys.solvers import Certificate
 
 
 def brute_isomorphic(a: LinearSystem, b: LinearSystem, prune: bool = True) -> bool:
@@ -282,3 +283,107 @@ def brute_line_fits(
         for size in range(lo, min(hi, n_points) + 1)
         for pts in itertools.combinations(range(n_points), size)
     )
+
+
+def branch_and_bound_transversal(sys: LinearSystem) -> Certificate:
+    """Reference for ``transversal_number``: the same bounds, branching line
+    and witness pass, but the optimum comes from its own branch and bound
+    started at a greedy upper bound, so the two must return equal
+    certificates.
+
+    Branch and bound: branch on an uncovered line of minimum size over its
+    points; the upper bound comes from a greedy max-coverage start.  The
+    admissible lower bound on the points still needed is the larger of two
+    counts over the uncovered lines: a greedy set of pairwise disjoint ones
+    (each needs its own point), and their number divided, rounded up, by the
+    most of them any one point covers.  The second count is what prunes
+    projective planes, where every two lines meet and the first is always 1.
+    A second pass, pruned by the same bound, fixes the witness to the
+    lexicographically least minimum transversal.
+    """
+    m = sys.n_lines
+    if m == 0:
+        return Certificate("transversal", (), 0)
+    cover = [_mask(ls) for ls in _incidence(sys)]
+    full = (1 << m) - 1
+    line_sizes = [len(l) for l in sys.lines]
+
+    # greedy upper bound
+    unc = full
+    ub = 0
+    while unc:
+        best_p, best_c = 0, -1
+        for p in range(sys.n_points):
+            c = (cover[p] & unc).bit_count()
+            if c > best_c:
+                best_p, best_c = p, c
+        unc &= ~cover[best_p]
+        ub += 1
+
+    def disjoint_lb(uncovered: int) -> int:
+        taken = 0
+        cnt = 0
+        rest = uncovered
+        while rest:
+            b = rest & -rest
+            i = b.bit_length() - 1
+            rest ^= b
+            if sys.masks[i] & taken == 0:
+                taken |= sys.masks[i]
+                cnt += 1
+        return cnt
+
+    def lower_bound(uncovered: int) -> int:
+        most = max((c & uncovered).bit_count() for c in cover)
+        return max(disjoint_lb(uncovered), -(-uncovered.bit_count() // most))
+
+    def pick_line(uncovered: int) -> int:
+        best_i, best_s = -1, 1 << 30
+        rest = uncovered
+        while rest:
+            b = rest & -rest
+            i = b.bit_length() - 1
+            rest ^= b
+            if line_sizes[i] < best_s:
+                best_i, best_s = i, line_sizes[i]
+        return best_i
+
+    best = ub
+
+    def dfs(uncovered: int, depth: int) -> None:
+        nonlocal best
+        if uncovered == 0:
+            if depth < best:
+                best = depth
+            return
+        if depth + lower_bound(uncovered) >= best:
+            return
+        i = pick_line(uncovered)
+        for p in sys.lines[i]:
+            dfs(uncovered & ~cover[p], depth + 1)
+
+    dfs(full, 0)
+    tau = best
+
+    def coverable(uncovered: int, budget: int, lo: int) -> bool:
+        """Can the uncovered lines be hit with ``budget`` points of id >= lo?"""
+        if uncovered == 0:
+            return True
+        if budget <= 0 or lower_bound(uncovered) > budget:
+            return False
+        i = pick_line(uncovered)
+        for p in sys.lines[i]:
+            if p >= lo and coverable(uncovered & ~cover[p], budget - 1, lo):
+                return True
+        return False
+
+    members: list[int] = []
+    unc = full
+    for p in range(sys.n_points):
+        if len(members) == tau:
+            break
+        if coverable(unc & ~cover[p], tau - len(members) - 1, p + 1):
+            members.append(p)
+            unc &= ~cover[p]
+    assert unc == 0 and len(members) == tau
+    return Certificate("transversal", tuple(members), tau)

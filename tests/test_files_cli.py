@@ -160,6 +160,14 @@ def test_cli_verify_rejects_negative_random(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_cli_verify_rejects_bad_exhaustive_bounds(tmp_path, capsys):
+    out_dir = tmp_path / "nested" / "report"
+    code = main(["verify", "--exhaustive", "4,-3", "--out", str(out_dir)])
+    assert code == cli.EXIT_BAD_PARAMS
+    assert "error: bounds must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()
+
+
 def test_cli_planarity(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["construct", "c34"]) == 0

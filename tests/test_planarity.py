@@ -61,6 +61,11 @@ def test_new_graph_validation():
         new_graph(2, [(0, 2)])
     with pytest.raises(GraphError):
         new_graph(3, [(0, 1)], (frozenset({0, 1}), frozenset({2})))
+    # ids and the vertex count must be ints, and a bool is no id
+    bad = ((3, [(0.5, 1)]), (2, [(True, 0)]), (2, [(0, False)]), (2.5, []), (True, []))
+    for n, edges in bad:
+        with pytest.raises(GraphError):
+            new_graph(n, edges)
 
 
 def test_incidence_graph_counts(pi3, c34):
@@ -139,6 +144,16 @@ def test_validate_rejects_tampered_embedding():
     rot[0] = tuple(reversed(rot[0]))  # locally mirrored rotation breaks faces
     if len(rot[0]) >= 3:
         assert not validate_verdict(g, PlanarityVerdict(True, embedding=rot))
+    # a rotation at a vertex the graph does not have is rejected, not a crash
+    tri = incidence_graph(new_linear_system(3, [[0, 1], [1, 2], [0, 2]]))
+    v = is_planar(tri)
+    assert v.planar and validate_verdict(tri, v)
+    rot = dict(v.embedding)
+    rot[99] = (0,)
+    assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
+    rot = dict(v.embedding)
+    del rot[0]
+    assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
 
 
 def test_edge_bound_consistency():

@@ -24,6 +24,8 @@ from linsys import (
 )
 from linsys.constructions import GenerationExhausted
 
+from _oracles import branch_and_bound_transversal
+
 # symbol ids in the c34 table: p=0 q=1 x1=2 x2=3 x3=4 y1=5 y3=6 y4=7
 C34_PACKING = {7, 6, 3, 5}  # lines {p,x2,y4},{q,x3,y3},{x1,x3,y4},{x1,x2,y3}
 
@@ -172,6 +174,23 @@ def test_transversal_agrees_with_oracle_at_depth(n_points, n_lines, seed):
     except GenerationExhausted:
         return
     assert transversal_number(s) == brute_force_transversal(s)
+
+
+def test_transversal_matches_branch_and_bound_past_brute_force_guard():
+    # too large for brute_force_transversal: the reference finds the optimum
+    # by its own search from a greedy start, so equal certificates check
+    # both the value and the lexicographically least witness
+    systems = [projective_plane(q).system for q in (5, 7, 11)]
+    seed = 0
+    while len(systems) < 23:
+        try:
+            systems.append(random_linear_system(30, 35, (4, 6), seed))
+        except GenerationExhausted:
+            pass
+        seed += 1
+    for s in systems:
+        assert s.n_points > 20 or s.n_lines > 20
+        assert transversal_number(s) == branch_and_bound_transversal(s)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from linsys import (
     zykov_planar,
 )
 from linsys import verify
+from linsys.constructions import GenerationExhausted
 from linsys.verify import (
     Instance,
     VerifyConfig,
@@ -59,6 +60,13 @@ def test_exhaustive_small_guards():
         exhaustive_small(10, 5)
     with pytest.raises(TooLarge):
         exhaustive_small(9, 8)
+    for bounds in ((4, -3), (-1, 2), (4, 2.5), (4.0, 2), (True, 2)):
+        with pytest.raises(GenerationExhausted):
+            exhaustive_small(*bounds)
+    for sizes in ((0, 2), (3, 2), (2.5, 3), (2, "4")):
+        with pytest.raises(GenerationExhausted):
+            exhaustive_small(4, 2, sizes)
+    assert exhaustive_small(0, 0) == [new_linear_system(0, [])]
 
 
 def test_run_all_passes_and_is_deterministic():

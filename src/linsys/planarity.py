@@ -265,11 +265,10 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
         adj[v].add(u)
     if rotation.keys() != adj.keys():
         return False
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, rot in rotation.items():
         if set(rot) != adj[v] or len(rot) != len(adj[v]):
             return False
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, rot in rotation.items():
         d = len(rot)
         for i, u in enumerate(rot):
             # next dart of (u, v) in face traversal

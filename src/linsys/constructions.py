@@ -20,8 +20,11 @@ from .core import (
     LinearSystemError,
     TooLarge,
     _canonical_key,
+    _canonical_search,
+    _image,
     _is_int,
     _mask,
+    _orbit_firsts,
     _pair_line_index,
     _restrict,
     embeds_as_subsystem,
@@ -230,22 +233,30 @@ def _c44_classes(
     """Restrict each line set to the points of pi:3 off ``tri`` plus each
     subset of its vertices, and keep the systems with 2-packing number 4
     that contain ``c``: the first ``(added vertices, line set, system)`` of
-    each isomorphism class, sorted by canonical key."""
+    each isomorphism class, sorted by canonical key.  A pair is skipped when
+    an automorphism of pi:3 keeping the vertices maps an earlier pair onto
+    it, as the restrictions are then isomorphic.
+    """
     pi3 = projective_plane(3).system
     base = set(range(pi3.n_points)) - set(tri.vertices)
     c_sys = c_explicit().system
+    # one search with the vertices coloured apart finds their stabilizer
+    stab = _canonical_search(pi3, tuple(int(p in base) for p in range(pi3.n_points)))[2]
+    line_of = {line: i for i, line in enumerate(pi3.lines)}
+    gens = [(g, [line_of[_image(g, line)] for line in pi3.lines]) for g in stab]
+    pairs = ((pts, chosen) for pts in _subsets(tri.vertices) for chosen in line_sets)
     found: dict[tuple, tuple] = {}
-    for added_pts in _subsets(tri.vertices):
-        keep = base | set(added_pts)
-        for chosen in line_sets:
-            cand, _ = _restrict(pi3, keep, chosen)
-            if two_packing_number(cand).value != 4:
-                continue
-            if embeds_as_subsystem(c_sys, cand) is None:
-                continue
-            key = _canonical_key(cand)
-            if key not in found:
-                found[key] = (added_pts, chosen, cand)
+    for added_pts, chosen in _orbit_firsts(
+        pairs, gens, lambda gen, pair: (_image(gen[0], pair[0]), _image(gen[1], pair[1]))
+    ):
+        cand, _ = _restrict(pi3, base | set(added_pts), chosen)
+        if two_packing_number(cand).value != 4:
+            continue
+        if embeds_as_subsystem(c_sys, cand) is None:
+            continue
+        key = _canonical_key(cand)
+        if key not in found:
+            found[key] = (added_pts, chosen, cand)
     return [found[k] for k in sorted(found)]
 
 
@@ -273,8 +284,8 @@ def enumerate_c44() -> tuple[NamedSystem, ...]:
 
 
 def enumerate_c44_exhaustive() -> tuple[LinearSystem, ...]:
-    """Slow oracle for :func:`enumerate_c44`: the same search over every set
-    of at least as many plane lines as ``c`` has, not only the lines off the
+    """Oracle for :func:`enumerate_c44`: the same search over every set of at
+    least as many plane lines as ``c`` has, not only the lines off the
     triangle plus some of its sides.
 
     Returns the deduplicated members sorted by canonical key.

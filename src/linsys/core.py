@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 
 class LinearSystemError(Exception):
@@ -349,20 +349,22 @@ def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(rank[s] for s in marked)
 
 
-def _canonical_search(sys: LinearSystem) -> tuple:
+def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tuple:
     """Canonical encoding ``(n_points, lines)`` of ``sys`` itself, lines
     relabeled and sorted by (size, tuple); every canonical key, form and
     representative comes from this one search.
 
-    Backtracks over the refinement tree: repeatedly individualize each vertex
-    of the first non-singleton color class, refine, and keep the
-    lexicographically least relabeled line list among the discrete leaves.
-    Every automorphism found from equal leaves is kept and prunes the
-    branches it maps onto tried ones.
+    Backtracks over the refinement tree from the point ``colors`` (all equal
+    by default): repeatedly individualize each vertex of the first
+    non-singleton color class, refine, and keep the lexicographically least
+    relabeled line list among the discrete leaves.  Every automorphism found
+    from equal leaves is kept and prunes the branches it maps onto tried
+    ones, so they generate all color-preserving automorphisms.  Returns the
+    encoding, the labeling (``p`` becomes ``lab[p]``) and these ``sigma``.
     """
     n, lines = sys.n_points, sys.lines
     if n == 0:
-        return (0, ())
+        return (0, ()), (), []
     incident = _incidence(sys)
 
     best_enc: Optional[tuple] = None
@@ -414,21 +416,38 @@ def _canonical_search(sys: LinearSystem) -> tuple:
             base.pop()
             tried.append(v)
 
-    dfs(tuple(0 for _ in range(n)), [])
-    assert best_enc is not None
-    return best_enc
+    dfs(colors or (0,) * n, [])
+    assert best_enc is not None and best_lab is not None
+    return best_enc, best_lab, autos
+
+
+def _image(g, points: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(g[p] for p in points))
+
+
+def _orbit_firsts(items: Iterable, gens: list, image: Callable) -> Iterator:
+    """The first item of each orbit in ``items`` under the group ``gens``
+    generate, where ``image(g, x)`` is the image of ``x`` under ``g``."""
+    seen: set = set()
+    for x in items:
+        if x not in seen:
+            yield x
+            layer = {x}
+            while layer:
+                layer = {image(g, y) for y in layer for g in gens} - seen
+                seen |= layer
 
 
 def _canonical_key(sys: LinearSystem) -> tuple:
     """Hashable isomorphism-class key: the canonical encoding of the
     low-degree-pruned system."""
-    return _canonical_search(prune_low_degree(sys)[0])
+    return _canonical_search(prune_low_degree(sys)[0])[0]
 
 
 def canonical_relabel(sys: LinearSystem) -> LinearSystem:
     """The canonical representative of ``sys`` itself (no pruning): points are
     renamed by the canonical labeling and lines sorted by (size, tuple)."""
-    return new_linear_system(*_canonical_search(sys))
+    return new_linear_system(*_canonical_search(sys)[0])
 
 
 def canonical_form(sys: LinearSystem) -> CanonicalForm:

@@ -263,10 +263,12 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    if rotation.keys() != adj.keys():
+    if not isinstance(rotation, dict) or rotation.keys() != adj.keys():
         return False
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, rot in rotation.items():
+        if not (isinstance(rot, tuple) and all(map(_is_int, rot))):
+            return False
         if set(rot) != adj[v] or len(rot) != len(adj[v]):
             return False
         d = len(rot)
@@ -302,8 +304,10 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
 def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
     if w.kind not in ("K5", "K33"):
         return False
+    if not isinstance(w.branch_vertices, tuple) or not isinstance(w.paths, tuple):
+        return False
     branch = list(w.branch_vertices)
-    if len(set(branch)) != len(branch):
+    if not all(map(_is_int, branch)) or len(set(branch)) != len(branch):
         return False
     if any(not (0 <= b < g.n_vertices) for b in branch):
         return False
@@ -316,6 +320,8 @@ def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
     internal_seen: set[int] = set()
     pairs: set[tuple[int, int]] = set()
     for path in w.paths:
+        if not (isinstance(path, tuple) and all(map(_is_int, path))):
+            return False
         if len(path) < 2 or len(set(path)) != len(path):
             return False
         a, b = path[0], path[-1]

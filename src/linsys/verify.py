@@ -22,8 +22,10 @@ from .core import (
     TooLarge,
     _canonical_key,
     _canonical_search,
+    _image,
     _is_int,
     _mask,
+    _orbit_firsts,
     embeds_as_subsystem,
     max_degree,
     new_linear_system,
@@ -392,12 +394,14 @@ def exhaustive_small(
 ) -> list[LinearSystem]:
     """All linear systems within the bounds, one per isomorphism class.
 
-    Orderly line-by-line extension: lines are added in non-increasing size
+    Orbit-pruned orderly extension: lines are added in non-increasing size
     order (every system can be built that way), new points take the next free
-    ids, and each level is deduplicated by canonical encoding.  Ground sets
-    carry no isolated points.  Raises :class:`GenerationExhausted` for a
-    bound that is not a nonnegative int or a size range that is not two
-    ints with ``1 <= lo <= hi``.
+    ids, a new line reuses only the first point set of each orbit under the
+    automorphisms the class's canonical search found (which map extensions
+    onto isomorphic ones), and each level is deduplicated by canonical
+    encoding.  Ground sets carry no isolated points.  Raises
+    :class:`GenerationExhausted` for a bound that is not a nonnegative int or
+    a size range that is not two ints with ``1 <= lo <= hi``.
     """
     if not all(_is_int(b) and b >= 0 for b in (max_points, max_lines)):
         raise GenerationExhausted(
@@ -414,34 +418,39 @@ def exhaustive_small(
     hi = min(hi, max_points)
     empty = new_linear_system(0, [])
     out = [empty]
-    frontier = [empty]
+    # each class with its automorphisms, n_points bytes each in one string
+    frontier: list[tuple[LinearSystem, bytes]] = [(empty, b"")]
     for _ in range(max_lines):
-        level: dict[tuple, LinearSystem] = {}
-        for sys in frontier:
+        level: dict[tuple, tuple[LinearSystem, bytes]] = {}
+        for sys, autos in frontier:
+            n = sys.n_points
+            gens = [autos[i:i + n] for i in range(0, len(autos), n or 1)]
             cap = len(sys.lines[0]) if sys.lines else hi
             for size in range(lo, min(cap, hi) + 1):
                 for reuse in range(0, size + 1):
                     fresh = size - reuse
-                    if sys.n_points + fresh > max_points or reuse > sys.n_points:
+                    if n + fresh > max_points or reuse > n:
                         continue
-                    for base in itertools.combinations(range(sys.n_points), reuse):
+                    bases = itertools.combinations(range(n), reuse)
+                    for base in _orbit_firsts(bases, gens, _image):
                         bmask = _mask(base)
                         if any((bmask & m).bit_count() > 1 for m in sys.masks):
                             continue
-                        newline = base + tuple(
-                            range(sys.n_points, sys.n_points + fresh)
-                        )
+                        newline = base + tuple(range(n, n + fresh))
                         if fresh == 0 and newline in sys.lines:
                             continue
                         # valid by the checks above: no second validation
-                        cand = LinearSystem(sys.n_points + fresh, sys.lines + (newline,))
-                        key = _canonical_search(cand)
+                        cand = LinearSystem(n + fresh, sys.lines + (newline,))
+                        key, lab, found = _canonical_search(cand)
                         if key not in level:
                             # keyed by rep's own tuples, so each class is held once
                             rep = new_linear_system(*key)
-                            level[(rep.n_points, rep.lines)] = rep
+                            # sigma sends lab[p] to lab[sigma[p]] in rep's labels
+                            point_of = sorted(range(rep.n_points), key=lab.__getitem__)
+                            rep_autos = bytes(lab[sigma[p]] for sigma in found for p in point_of)
+                            level[(rep.n_points, rep.lines)] = (rep, rep_autos)
         frontier = [level[k] for k in sorted(level)]
-        out.extend(frontier)
+        out.extend(rep for rep, _ in frontier)
     return out
 
 

@@ -13,10 +13,25 @@ from typing import Optional
 import networkx as nx
 
 from linsys import LinearSystem, new_linear_system, prune_low_degree
-from linsys.constructions import GenerationExhausted
-from linsys.core import Embedding, _incidence, _mask, _pair_line_index
+from linsys.constructions import (
+    GenerationExhausted,
+    Triangle,
+    _subsets,
+    c_explicit,
+    projective_plane,
+)
+from linsys.core import (
+    Embedding,
+    _canonical_key,
+    _canonical_search,
+    _incidence,
+    _mask,
+    _pair_line_index,
+    _restrict,
+    embeds_as_subsystem,
+)
 from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
-from linsys.solvers import Certificate
+from linsys.solvers import Certificate, two_packing_number
 
 
 def brute_isomorphic(a: LinearSystem, b: LinearSystem, prune: bool = True) -> bool:
@@ -387,3 +402,93 @@ def branch_and_bound_transversal(sys: LinearSystem) -> Certificate:
             unc &= ~cover[p]
     assert unc == 0 and len(members) == tau
     return Certificate("transversal", tuple(members), tau)
+
+
+def orderly_exhaustive_small(
+    max_points: int, max_lines: int, size_range: tuple[int, int] = (2, 4)
+) -> list[LinearSystem]:
+    """Reference for ``exhaustive_small``: the same orderly extension with
+    no orbit pruning, which tries every valid point set for each new line,
+    so the two must return the same classes in the same order."""
+    lo, hi = size_range
+    hi = min(hi, max_points)
+    empty = new_linear_system(0, [])
+    out = [empty]
+    frontier = [empty]
+    for _ in range(max_lines):
+        level: dict[tuple, LinearSystem] = {}
+        for sys in frontier:
+            cap = len(sys.lines[0]) if sys.lines else hi
+            for size in range(lo, min(cap, hi) + 1):
+                for reuse in range(0, size + 1):
+                    fresh = size - reuse
+                    if sys.n_points + fresh > max_points or reuse > sys.n_points:
+                        continue
+                    for base in itertools.combinations(range(sys.n_points), reuse):
+                        bmask = _mask(base)
+                        if any((bmask & m).bit_count() > 1 for m in sys.masks):
+                            continue
+                        newline = base + tuple(
+                            range(sys.n_points, sys.n_points + fresh)
+                        )
+                        if fresh == 0 and newline in sys.lines:
+                            continue
+                        # valid by the checks above: no second validation
+                        cand = LinearSystem(sys.n_points + fresh, sys.lines + (newline,))
+                        key = _canonical_search(cand)[0]
+                        if key not in level:
+                            # keyed by rep's own tuples, so each class is held once
+                            rep = new_linear_system(*key)
+                            level[(rep.n_points, rep.lines)] = rep
+        frontier = [level[k] for k in sorted(level)]
+        out.extend(frontier)
+    return out
+
+
+def unpruned_c44_classes(
+    tri: Triangle, line_sets: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...], LinearSystem]]:
+    """Reference for ``constructions._c44_classes``: the same loop with no
+    orbit pruning, which tries every pair of added vertices and line set,
+    so the two must return the same first member of each class."""
+    pi3 = projective_plane(3).system
+    base = set(range(pi3.n_points)) - set(tri.vertices)
+    c_sys = c_explicit().system
+    found: dict[tuple, tuple] = {}
+    for added_pts in _subsets(tri.vertices):
+        keep = base | set(added_pts)
+        for chosen in line_sets:
+            cand, _ = _restrict(pi3, keep, chosen)
+            if two_packing_number(cand).value != 4:
+                continue
+            if embeds_as_subsystem(c_sys, cand) is None:
+                continue
+            key = _canonical_key(cand)
+            if key not in found:
+                found[key] = (added_pts, chosen, cand)
+    return [found[k] for k in sorted(found)]
+
+
+def automorphism_closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """Every element of the group the point permutations ``gens`` generate,
+    by breadth-first closure from the identity."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[p] for p in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+def brute_automorphisms(sys: LinearSystem) -> list[tuple[int, ...]]:
+    """Every point permutation that maps the lines onto the lines, by trying
+    all of them; <= 8 points."""
+    target = set(sys.lines)
+    return [
+        perm for perm in itertools.permutations(range(sys.n_points))
+        if {tuple(sorted(perm[p] for p in line)) for line in sys.lines} == target
+    ]

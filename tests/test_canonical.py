@@ -16,9 +16,16 @@ from linsys import (
     random_linear_system,
     validate_embedding,
 )
-from linsys.constructions import GenerationExhausted
+from linsys.constructions import GenerationExhausted, find_triangles
+from linsys.core import _canonical_search
 
-from _oracles import backtrack_embedding, brute_embeds, brute_isomorphic
+from _oracles import (
+    automorphism_closure,
+    backtrack_embedding,
+    brute_automorphisms,
+    brute_embeds,
+    brute_isomorphic,
+)
 
 
 def _shuffled(sys, rng):
@@ -274,3 +281,45 @@ def test_embeds_handles_pruning_of_candidate():
     assert validate_embedding(decorated, host, emb)
     pruned, _ = prune_low_degree(decorated)
     assert set(emb.point_map) == set(range(pruned.n_points))
+
+
+def _maps_lines_onto_lines(sys, g):
+    """One pass over the incidences: every line's image is a line."""
+    lines = set(sys.lines)
+    return all(tuple(sorted(g[p] for p in line)) in lines for line in sys.lines)
+
+
+@pytest.mark.parametrize("fixture", ["pi2", "pi3", "pi5", "c34", "c_sys"])
+def test_search_automorphisms_map_lines_onto_lines(fixture, request):
+    sys = request.getfixturevalue(fixture)
+    enc, lab, autos = _canonical_search(sys)
+    assert autos
+    for g in autos:
+        assert sorted(g) == list(range(sys.n_points)) and g != tuple(range(sys.n_points))
+        assert _maps_lines_onto_lines(sys, g)
+    # the labeling is the one the encoding was read from
+    relabeled = sorted((tuple(sorted(lab[p] for p in l)) for l in sys.lines),
+                       key=lambda t: (len(t), t))
+    assert enc == (sys.n_points, tuple(relabeled))
+
+
+def test_search_automorphisms_generate_the_group_on_small_classes():
+    from linsys import exhaustive_small
+
+    for sys in exhaustive_small(6, 4):
+        _, _, autos = _canonical_search(sys)
+        assert all(_maps_lines_onto_lines(sys, g) for g in autos)
+        group = automorphism_closure(autos, sys.n_points)
+        assert group == set(brute_automorphisms(sys))
+
+
+def test_search_automorphisms_of_pi3_and_a_triangle(pi3):
+    _, _, autos = _canonical_search(pi3)
+    assert len(automorphism_closure(autos, pi3.n_points)) == 5616  # |PGL(3, 3)|
+    # with the vertices coloured apart, the search finds their stabilizer
+    tri = set(find_triangles(pi3)[0].vertices)
+    _, _, autos = _canonical_search(pi3, tuple(int(p in tri) for p in range(13)))
+    group = automorphism_closure(autos, pi3.n_points)
+    assert len(group) == 24  # 5616 / 234 triangles
+    assert all({g[p] for p in tri} == tri for g in group)
+    assert all(_maps_lines_onto_lines(pi3, g) for g in group)

@@ -23,11 +23,23 @@ from linsys import (
     triangle_delete,
     two_packing_number,
 )
-from linsys.constructions import GenerationExhausted, _line_fits, _subsets
-from linsys.core import _restrict
+from linsys import constructions
+from linsys.constructions import (
+    GenerationExhausted,
+    _c44_classes,
+    _line_fits,
+    _subsets,
+    enumerate_c44_exhaustive,
+)
+from linsys.core import _canonical_search, _restrict
 from linsys.verify import _RANDOM_PROFILES
 
-from _oracles import brute_line_fits, rejection_sampler
+from _oracles import (
+    automorphism_closure,
+    brute_line_fits,
+    rejection_sampler,
+    unpruned_c44_classes,
+)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -188,6 +200,62 @@ def test_c44_restrictions_never_collapse(pi3, c_sys):
         keep = base | set(prov["added_points"])
         chosen = sorted(parents + list(prov["added_sides"]))
         assert _restrict(pi3, keep, chosen)[0] == ns.system
+
+
+def test_c44_searches_match_unpruned_reference(pi3):
+    # orbit pruning keeps the first pair of each orbit, so each class keeps
+    # the member, added vertices and line set the full loop finds first
+    tri = find_triangles(pi3)[0]
+    parents = [i for i in range(pi3.n_lines) if i not in tri.sides]
+    family = [tuple(sorted(parents + list(s))) for s in _subsets(tri.sides)]
+    every = [s for s in _subsets(range(pi3.n_lines)) if len(s) >= 10]
+    want_family = unpruned_c44_classes(tri, family)
+    want_every = unpruned_c44_classes(tri, every)
+    for line_sets, want in ((family, want_family), (every, want_every)):
+        assert len(want) == 8
+        assert _c44_classes(tri, line_sets) == want
+    replayed = [
+        (ns.name, ns.prov()["added_points"],
+         tuple(sorted(parents + list(ns.prov()["added_sides"]))), ns.system)
+        for ns in enumerate_c44()
+    ]
+    assert replayed == [(f"c44:{i}", *cls) for i, cls in enumerate(want_family)]
+    assert enumerate_c44_exhaustive() == tuple(cand for _, _, cand in want_every)
+
+
+def test_c44_search_tries_one_pair_per_orbit(pi3, monkeypatch):
+    # the pairs restricted are exactly the unpruned ones that come first in
+    # their orbit under the whole stabilizer of the triangle's vertices
+    tri = find_triangles(pi3)[0]
+    tried = []
+
+    def record(sys, keep, chosen):
+        tried.append((tuple(sorted(set(keep) & set(tri.vertices))), chosen))
+        return restrict(sys, keep, chosen)
+
+    restrict = constructions._restrict
+    monkeypatch.setattr(constructions, "_restrict", record)
+    enumerate_c44_exhaustive()
+    colors = tuple(int(p in tri.vertices) for p in range(13))
+    group = automorphism_closure(_canonical_search(pi3, colors)[2], 13)
+    line_of = {line: i for i, line in enumerate(pi3.lines)}
+    pairs = [
+        (pts, chosen)
+        for pts in _subsets(tri.vertices)
+        for chosen in _subsets(range(13)) if len(chosen) >= 10
+    ]
+    rank = {pair: i for i, pair in enumerate(pairs)}
+    want = []
+    for pts, chosen in pairs:
+        images = (
+            (tuple(sorted(g[p] for p in pts)),
+             tuple(sorted(line_of[tuple(sorted(g[p] for p in pi3.lines[i]))] for i in chosen)))
+            for g in group
+        )
+        if min(rank[image] for image in images) == rank[(pts, chosen)]:
+            want.append((pts, chosen))
+    assert len(want) == 236
+    assert tried == want
 
 
 def test_enumerate_c44_contains_endpoints(c_sys, pi3):

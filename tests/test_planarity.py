@@ -156,6 +156,31 @@ def test_validate_rejects_tampered_embedding():
     assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
 
 
+def test_validate_rejects_malformed_certificates():
+    # malformed entries are rejected before any comparison, not a crash
+    tri = incidence_graph(new_linear_system(3, [[0, 1], [1, 2], [0, 2]]))
+    good = is_planar(tri).embedding
+    for bad in (None, [*good[0]], (*good[0][:-1], "x"), (*good[0][:-1], True), (None,)):
+        rot = dict(good)
+        rot[0] = bad
+        assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
+    assert not validate_verdict(tri, PlanarityVerdict(True, embedding=list(good.items())))
+    k5 = _complete(5)
+    w = is_planar(k5).witness
+    assert validate_verdict(k5, PlanarityVerdict(False, witness=w))
+    for bad in (
+        KuratowskiWitness("K5", ("a", "b", "c", "d", "e"), ()),
+        KuratowskiWitness("K5", (None, 1, 2, 3, 4), w.paths),
+        KuratowskiWitness("K5", (True, 1, 2, 3, 4), w.paths),
+        KuratowskiWitness("K5", None, w.paths),
+        KuratowskiWitness("K5", w.branch_vertices, None),
+        KuratowskiWitness("K5", w.branch_vertices, (("a", 1),) + w.paths[1:]),
+        KuratowskiWitness("K5", w.branch_vertices, (None,) + w.paths[1:]),
+        KuratowskiWitness("K5", w.branch_vertices, ((0.0, 1),) + w.paths[1:]),
+    ):
+        assert not validate_verdict(k5, PlanarityVerdict(False, witness=bad))
+
+
 def test_edge_bound_consistency():
     rng = random.Random(3)
     for _ in range(60):

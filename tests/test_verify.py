@@ -27,6 +27,8 @@ from linsys.verify import (
     reports_to_markdown,
 )
 
+from _oracles import brute_automorphisms, orderly_exhaustive_small
+
 
 def test_exhaustive_small_three_point_graphs():
     out = exhaustive_small(3, 3, (2, 2))
@@ -53,6 +55,58 @@ def test_exhaustive_small_no_isomorphic_duplicates():
     assert all(s.n_points == len({p for l in s.lines for p in l}) for s in out)
     # candidates skip validation, so check each class passes it unchanged
     assert all(new_linear_system(s.n_points, s.lines) == s for s in out)
+
+
+def _classes(systems):
+    return [(s.n_points, s.lines) for s in systems]
+
+
+@pytest.mark.parametrize("size_range", [(1, 3), (2, 2), (2, 4)])
+def test_exhaustive_small_matches_unpruned_reference(size_range):
+    # orbit pruning skips only extensions isomorphic to earlier ones: the
+    # same classes in the same order, at every bound up to (7, 5)
+    for max_points in range(8):
+        for max_lines in range(6):
+            got = exhaustive_small(max_points, max_lines, size_range)
+            want = orderly_exhaustive_small(max_points, max_lines, size_range)
+            assert _classes(got) == _classes(want), (max_points, max_lines)
+
+
+def test_exhaustive_small_matches_unpruned_reference_at_benchmark_bound():
+    got = exhaustive_small(8, 6)
+    assert len(got) == 3272
+    assert _classes(got) == _classes(orderly_exhaustive_small(8, 6))
+
+
+def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
+    # the candidates canonised are exactly the unpruned ones whose reused
+    # point set is the least of its orbit under the parent's automorphisms,
+    # found here by trying every permutation
+    tried = []
+
+    def record(cand):
+        tried.append((cand.n_points, cand.lines))
+        return search(cand)
+
+    search = verify._canonical_search
+    monkeypatch.setattr(verify, "_canonical_search", record)
+    exhaustive_small(6, 4)
+    want = []
+    for sys in orderly_exhaustive_small(6, 3):
+        n, autos = sys.n_points, brute_automorphisms(sys)
+        cap = len(sys.lines[0]) if sys.lines else 4
+        for size in range(2, min(cap, 4) + 1):
+            for reuse in range(min(size, n) + 1):
+                fresh = size - reuse
+                for base in itertools.combinations(range(n), reuse):
+                    newline = base + tuple(range(n, n + fresh))
+                    if n + fresh > 6 or (fresh == 0 and newline in sys.lines):
+                        continue
+                    if any(len(set(base) & set(line)) > 1 for line in sys.lines):
+                        continue
+                    if min(tuple(sorted(g[p] for p in base)) for g in autos) == base:
+                        want.append((n + fresh, sys.lines + (newline,)))
+    assert tried == want
 
 
 def test_exhaustive_small_guards():

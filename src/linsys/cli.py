@@ -18,7 +18,7 @@ import json
 import sys as _sys
 from pathlib import Path
 
-from .core import LinearSystemError, _degree_counts
+from .core import LinearSystemError, _incidence
 from .constructions import (
     NamedSystem,
     c34_explicit,
@@ -27,7 +27,7 @@ from .constructions import (
     projective_plane,
 )
 from .files import InstanceFormatError, load_instance, save_instance
-from .planarity import validate_verdict, incidence_graph, zykov_planar
+from .planarity import incidence_graph, is_planar, validate_verdict
 from .solvers import transversal_number, two_packing_number
 from .verify import (
     HarnessError,
@@ -143,8 +143,8 @@ def cmd_planarity(args: argparse.Namespace) -> int:
     sys_ = _load(args.instance)
     if sys_ is None:
         return EXIT_BAD_INSTANCE
-    verdict = zykov_planar(sys_)
     graph = incidence_graph(sys_)
+    verdict = is_planar(graph)
     if not validate_verdict(graph, verdict):
         _err("planarity certificate failed validation")
         return EXIT_INTERNAL
@@ -168,7 +168,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     sys_ = _load(args.instance)
     if sys_ is None:
         return EXIT_BAD_INSTANCE
-    degrees = _degree_counts(sys_)
+    degrees = [len(ls) for ls in _incidence(sys_)]
     deg_hist: dict[int, int] = {}
     for d in degrees:
         deg_hist[d] = deg_hist.get(d, 0) + 1
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="run the claim harness and write reports")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--random", type=int, default=200, metavar="N")
+    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
+    p.add_argument("--random", type=int, default=VerifyConfig.n_random, metavar="N")
     p.add_argument("--exhaustive", metavar="P,L", help="exhaustive class bounds")
     p.add_argument("--no-fixtures", action="store_true", help="skip the named fixtures")
     p.add_argument("--out", help="report directory (default verify-report/)")

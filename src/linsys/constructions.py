@@ -69,50 +69,25 @@ class Triangle:
     sides: tuple[int, int, int]
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _normalized_triples(q: int) -> list[tuple[int, int, int]]:
-    """Projective representatives: nonzero triples mod q scaled so the first
-    nonzero coordinate is 1, in lexicographic order."""
-    out = []
-    for v in itertools.product(range(q), repeat=3):
-        if v == (0, 0, 0):
-            continue
-        lead = next(x for x in v if x != 0)
-        inv = pow(lead, q - 2, q) if lead != 1 else 1
-        norm = tuple((x * inv) % q for x in v)
-        if norm == v:
-            out.append(v)
-    out.sort()
-    return out
+_PLANE_ORDERS = (2, 3, 5, 7, 11)
 
 
 @lru_cache(maxsize=None)
 def projective_plane(q: int) -> NamedSystem:
-    """Projective plane of prime order q: points are normalized homogeneous
-    triples mod q, lines are normalized covectors, incidence is a zero dot
-    product."""
-    if not isinstance(q, int) or not _is_prime(q):
+    """Projective plane of prime order q <= 11: points are normalized
+    homogeneous triples mod q (first nonzero coordinate 1, in lexicographic
+    order), lines are normalized covectors, incidence is a zero dot product."""
+    # q is compared, never factored, so a huge order fails at once
+    if isinstance(q, int) and q > _PLANE_ORDERS[-1]:
+        raise TooLarge(f"order {q} exceeds the supported bound {_PLANE_ORDERS[-1]}")
+    if not isinstance(q, int) or q not in _PLANE_ORDERS:
         raise NotPrime(f"order must be prime, got {q!r}")
-    if q > 11:
-        raise TooLarge(f"order {q} exceeds the supported bound 11")
-    reps = _normalized_triples(q)
-    index = {v: i for i, v in enumerate(reps)}
-    lines = []
-    for cov in reps:
-        pts = sorted(
-            index[v] for v in reps if sum(a * b for a, b in zip(cov, v)) % q == 0
-        )
-        lines.append(pts)
+    reps = [(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+    reps += [(1, b, c) for b in range(q) for c in range(q)]
+    lines = [
+        [i for i, v in enumerate(reps) if sum(a * b for a, b in zip(cov, v)) % q == 0]
+        for cov in reps
+    ]
     system = new_linear_system(len(reps), lines)
     return NamedSystem(f"pi:{q}", system, (("q", q),))
 
@@ -327,6 +302,18 @@ def _line_fits(free: list[int], singles: int, lo: int, hi: int) -> bool:
     return singles != everyone or (hi >= 2 and _free_set_exists(free, everyone, 2))
 
 
+def _size_range(size_range: tuple[int, int]) -> tuple[int, int]:
+    """The bounds ``(lo, hi)`` of a line-size range; raises
+    :class:`GenerationExhausted` unless it is two ints with ``1 <= lo <= hi``."""
+    try:
+        lo, hi = size_range
+    except (TypeError, ValueError):
+        raise GenerationExhausted(f"infeasible size range {size_range}") from None
+    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
+        raise GenerationExhausted(f"infeasible size range {size_range}")
+    return lo, hi
+
+
 def random_linear_system(
     n_points: int,
     n_lines: int,
@@ -346,9 +333,7 @@ def random_linear_system(
         raise BadPointId(f"point count must be an integer, got {n_points!r}")
     if not _is_int(n_lines) or n_lines < 0:
         raise GenerationExhausted(f"line count must be a nonnegative integer, got {n_lines!r}")
-    lo, hi = line_size_range
-    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
-        raise GenerationExhausted(f"infeasible size range {line_size_range}")
+    lo, hi = _size_range(line_size_range)
     if lo > n_points:
         raise GenerationExhausted(
             f"size range {line_size_range} infeasible with {n_points} points"

@@ -187,22 +187,6 @@ def _check_line(sys: LinearSystem, l: int) -> None:
         raise BadLineIndex(f"line index {l!r} out of range [0, {sys.n_lines})")
 
 
-def degree(sys: LinearSystem, p: int) -> int:
-    """Number of lines through point ``p``."""
-    _check_point(sys, p)
-    bit = 1 << p
-    return sum(1 for m in sys.masks if m & bit)
-
-
-def _degree_counts(sys: LinearSystem) -> list[int]:
-    """The degree of every point, indexed by point id."""
-    counts = [0] * sys.n_points
-    for line in sys.lines:
-        for p in line:
-            counts[p] += 1
-    return counts
-
-
 def _incidence(sys: LinearSystem) -> list[list[int]]:
     """The ascending indices of the lines through each point, indexed by
     point id."""
@@ -213,19 +197,24 @@ def _incidence(sys: LinearSystem) -> list[list[int]]:
     return incident
 
 
+def degree(sys: LinearSystem, p: int) -> int:
+    """Number of lines through point ``p``."""
+    _check_point(sys, p)
+    return len(_incidence(sys)[p])
+
+
 def max_degree(sys: LinearSystem) -> int:
     """Largest point degree; 0 for a system without incidences."""
-    return max(_degree_counts(sys), default=0)
+    return max(map(len, _incidence(sys)), default=0)
 
 
 def points_of_degree_at_least(sys: LinearSystem, k: int) -> frozenset[int]:
-    return frozenset(p for p, c in enumerate(_degree_counts(sys)) if c >= k)
+    return frozenset(p for p, ls in enumerate(_incidence(sys)) if len(ls) >= k)
 
 
 def lines_through(sys: LinearSystem, p: int) -> frozenset[int]:
     _check_point(sys, p)
-    bit = 1 << p
-    return frozenset(i for i, m in enumerate(sys.masks) if m & bit)
+    return frozenset(_incidence(sys)[p])
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +271,7 @@ def prune_low_degree(sys: LinearSystem) -> tuple[LinearSystem, dict[int, int]]:
     single sweep suffices; lines shrink accordingly and emptied lines are
     dropped.
     """
-    keep = {p for p, c in enumerate(_degree_counts(sys)) if c >= 2}
+    keep = {p for p, ls in enumerate(_incidence(sys)) if len(ls) >= 2}
     return _restrict(sys, keep, range(sys.n_lines))
 
 

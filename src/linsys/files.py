@@ -86,6 +86,8 @@ def load_instance(path: str | Path) -> LinearSystem:
             raise InstanceFormatError(
                 f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             )
+        except RecursionError:
+            raise InstanceFormatError("invalid JSON: nested too deeply") from None
         return from_instance_dict(doc)
     return _parse_text(text)
 

@@ -48,13 +48,15 @@ def is_transversal(sys: LinearSystem, points: set[int] | frozenset[int] | tuple[
 
 
 def is_two_packing(sys: LinearSystem, line_indices) -> bool:
-    """True iff no point lies on three of the chosen lines."""
+    """True iff the chosen lines are distinct and no point lies on three."""
     idxs = tuple(line_indices)
     for l in idxs:
         _check_line(sys, l)
+    if len(set(idxs)) != len(idxs):
+        return False
     once = 0
     twice = 0
-    for l in set(idxs):
+    for l in idxs:
         m = sys.masks[l]
         if m & twice:
             return False

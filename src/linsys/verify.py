@@ -33,6 +33,7 @@ from .core import (
 )
 from .constructions import (
     GenerationExhausted,
+    _size_range,
     c34_explicit,
     c_explicit,
     enumerate_c44,
@@ -332,16 +333,19 @@ def _star_plus_two(disjoint: bool) -> LinearSystem:
 
 
 def fixture_instances() -> list[Instance]:
-    """The named systems plus small handcrafted shapes exercising each claim."""
-    out = [
+    """The named systems plus small handcrafted shapes exercising each claim.
+
+    c34 and the c44 members are the :func:`_equality_family` instances, so
+    their cached values are shared with the extremal checks.
+    """
+    c34, *c44 = _equality_family()
+    return [
         Instance("pi:2", projective_plane(2).system),
         Instance("pi:3", projective_plane(3).system),
-        Instance("c34", c34_explicit().system),
+        c34,
         Instance("c", c_explicit().system),
         Instance("pi:5", projective_plane(5).system),
-    ]
-    out += [Instance(ns.name, ns.system) for ns in enumerate_c44()]
-    out += [
+        *c44,
         Instance("star-4", _star(4)),
         Instance("star-5", _star(5, ray_size=3)),
         Instance("star5-plus-disjoint-pair", _star_plus_two(disjoint=True)),
@@ -353,7 +357,6 @@ def fixture_instances() -> list[Instance]:
         # 2-regular, so the whole line set is a 2-packing
         Instance("hexagon-cycle", new_linear_system(6, [[i, (i + 1) % 6] for i in range(6)])),
     ]
-    return out
 
 
 # profile choice matters: (9, 7, (3, 4)) yields nu2 = 4 on roughly a quarter
@@ -412,9 +415,7 @@ def exhaustive_small(
             f"exhaustive generation limited to 9 points / 7 lines, got "
             f"{max_points}/{max_lines}"
         )
-    lo, hi = size_range
-    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
-        raise GenerationExhausted(f"infeasible size range {size_range}")
+    lo, hi = _size_range(size_range)
     hi = min(hi, max_points)
     empty = new_linear_system(0, [])
     out = [empty]

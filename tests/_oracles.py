@@ -492,3 +492,33 @@ def brute_automorphisms(sys: LinearSystem) -> list[tuple[int, ...]]:
         perm for perm in itertools.permutations(range(sys.n_points))
         if {tuple(sorted(perm[p] for p in line)) for line in sys.lines} == target
     ]
+
+
+def normalized_triples(q: int) -> list[tuple[int, int, int]]:
+    """Projective representatives: nonzero triples mod q scaled so the first
+    nonzero coordinate is 1, in lexicographic order."""
+    out = []
+    for v in itertools.product(range(q), repeat=3):
+        if v == (0, 0, 0):
+            continue
+        lead = next(x for x in v if x != 0)
+        inv = pow(lead, q - 2, q) if lead != 1 else 1
+        norm = tuple((x * inv) % q for x in v)
+        if norm == v:
+            out.append(v)
+    out.sort()
+    return out
+
+
+def scanned_plane(q: int) -> LinearSystem:
+    """The plane of prime order ``q`` from :func:`normalized_triples`: one
+    line per covector, through the points with zero dot product."""
+    reps = normalized_triples(q)
+    index = {v: i for i, v in enumerate(reps)}
+    lines = []
+    for cov in reps:
+        pts = sorted(
+            index[v] for v in reps if sum(a * b for a, b in zip(cov, v)) % q == 0
+        )
+        lines.append(pts)
+    return new_linear_system(len(reps), lines)

@@ -38,6 +38,7 @@ from _oracles import (
     automorphism_closure,
     brute_line_fits,
     rejection_sampler,
+    scanned_plane,
     unpruned_c44_classes,
 )
 
@@ -59,13 +60,19 @@ def test_projective_plane_axioms(q):
     assert len(joined) == n * (n - 1) // 2  # every point pair joined once
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_projective_plane_matches_coordinate_scan(q):
+    assert projective_plane(q).system == scanned_plane(q)
+
+
 def test_projective_plane_guards():
-    with pytest.raises(NotPrime):
-        projective_plane(4)
-    with pytest.raises(NotPrime):
-        projective_plane(1)
-    with pytest.raises(TooLarge):
-        projective_plane(13)
+    for q in (4, 1, 0, -7, True, 3.0, "3"):
+        with pytest.raises(NotPrime):
+            projective_plane(q)
+    # any order above 11 is too large, prime or not, and fails at once
+    for q in (13, 12, 2**61 - 1):
+        with pytest.raises(TooLarge):
+            projective_plane(q)
 
 
 def test_c34_explicit_shape(c34):
@@ -285,7 +292,7 @@ def test_random_generator_rejects_malformed_arguments():
     for n_lines in (-1, 2.0, True, None):
         with pytest.raises(GenerationExhausted):
             random_linear_system(5, n_lines, (2, 3), 0)
-    for sizes in ((2.0, 3), (2, 3.5), (False, 2), (1, True)):
+    for sizes in ((2.0, 3), (2, 3.5), (False, 2), (1, True), (1, 2, 3), (2,), None, 5):
         with pytest.raises(GenerationExhausted):
             random_linear_system(5, 2, sizes, 0)
     assert random_linear_system(5, 0, (2, 3), 0).n_lines == 0

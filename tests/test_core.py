@@ -26,6 +26,7 @@ from linsys import (
     two_packing_number,
 )
 from linsys.constructions import GenerationExhausted
+from linsys.verify import fixture_instances, random_instances
 
 
 def test_construct_c_table(c_sys):
@@ -83,6 +84,22 @@ def test_degree_accessors(pi3, c34):
     empty = new_linear_system(0, [])
     with pytest.raises(BadPointId):
         lines_through(empty, 0)
+
+
+def test_degree_accessors_match_direct_count():
+    systems = [i.system for i in fixture_instances() + random_instances(3, 50)]
+    systems.append(new_linear_system(3, [[0, 1]]))  # point 2 on no line
+    for s in systems:
+        through = [
+            frozenset(i for i, l in enumerate(s.lines) if p in l) for p in range(s.n_points)
+        ]
+        assert [degree(s, p) for p in range(s.n_points)] == list(map(len, through))
+        assert [lines_through(s, p) for p in range(s.n_points)] == through
+        assert max_degree(s) == max(map(len, through), default=0)
+        for k in range(5):
+            assert points_of_degree_at_least(s, k) == frozenset(
+                p for p in range(s.n_points) if len(through[p]) >= k
+            )
 
 
 def test_delete_point_shrinks_two_point_line():

@@ -16,7 +16,7 @@ from linsys import (
 from linsys import cli
 from linsys.cli import main
 from linsys.files import InstanceFormatError, from_instance_dict, to_instance_dict
-from linsys.verify import HarnessError
+from linsys.verify import HarnessError, VerifyConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -87,6 +87,33 @@ def test_cli_bad_construct_params(capsys):
     assert main(["construct", "pi:4"]) == 2
     assert "prime" in capsys.readouterr().err
     assert main(["construct", "nonsense"]) == 2
+
+
+def test_cli_huge_plane_order_fails_at_once(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "linsys", "construct", "pi:2305843009213693951",
+         "--out", str(tmp_path / "plane.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == cli.EXIT_BAD_PARAMS
+    assert done.stderr == "error: order 2305843009213693951 exceeds the supported bound 11\n"
+    assert not (tmp_path / "plane.json").exists()
+
+
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    with pytest.raises(InstanceFormatError, match="nested too deeply"):
+        load_instance(deep)
+    assert main(["solve", str(deep)]) == cli.EXIT_BAD_INSTANCE
+    assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_cli_verify_defaults_come_from_verify_config():
+    args = cli.build_parser().parse_args(["verify"])
+    config = VerifyConfig()
+    assert (args.seed, args.random) == (config.seed, config.n_random)
 
 
 def test_cli_solve_bad_inputs(tmp_path, capsys):

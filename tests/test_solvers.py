@@ -51,6 +51,10 @@ def test_is_two_packing_examples(c34):
     assert not is_two_packing(concurrent, {0, 1, 2})
     assert is_two_packing(concurrent, {0, 1})
     assert is_two_packing(concurrent, set())
+    # a repeated line is not two lines of a packing
+    for repeated in ((0, 0), (0, 0, 0), [1, 2, 1]):
+        assert not is_two_packing(concurrent, repeated)
+        assert not is_two_packing(c34, repeated)
     with pytest.raises(BadLineIndex):
         is_two_packing(c34, {0, 8})
     with pytest.raises(BadLineIndex):

@@ -117,7 +117,7 @@ def test_exhaustive_small_guards():
     for bounds in ((4, -3), (-1, 2), (4, 2.5), (4.0, 2), (True, 2)):
         with pytest.raises(GenerationExhausted):
             exhaustive_small(*bounds)
-    for sizes in ((0, 2), (3, 2), (2.5, 3), (2, "4")):
+    for sizes in ((0, 2), (3, 2), (2.5, 3), (2, "4"), (1, 2, 3), (2,), None, 5):
         with pytest.raises(GenerationExhausted):
             exhaustive_small(4, 2, sizes)
     assert exhaustive_small(0, 0) == [new_linear_system(0, [])]
@@ -170,6 +170,17 @@ def test_fixture_corpus_contents():
     names = {inst.name for inst in fixture_instances()}
     assert {"pi:2", "pi:3", "pi:5", "c34", "c"} <= names
     assert any(n.startswith("c44:") for n in names)
+
+
+def test_fixture_corpus_shares_the_equality_family():
+    """c34 and the c44 members are the family's own instances, in the
+    order c34, c, pi:5, then the members."""
+    fixtures = fixture_instances()
+    family = verify._equality_family()
+    assert [inst.name for inst in fixtures[:5]] == ["pi:2", "pi:3", "c34", "c", "pi:5"]
+    assert fixtures[2] is family[0]
+    assert all(a is b for a, b in zip(fixtures[5:13], family[1:], strict=True))
+    assert not fixtures[13].name.startswith("c44:")
 
 
 def test_counterexample_revalidation_roundtrip():

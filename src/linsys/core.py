@@ -306,26 +306,27 @@ def three_hypergraph(sys: LinearSystem) -> ThreeHypergraph:
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-def _refine(n: int, lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
+def _refine(lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
             colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Equitable refinement of a point coloring.
+    """Equitable refinement of a point coloring, returned as dense ranks.
 
     Alternates line signatures (multiset of endpoint colors) and point
     signatures (own color plus multiset of incident line signatures) until
-    the partition stabilizes.  Purely structural, hence invariant under
-    relabeling.
+    the partition stabilizes.  A round that splits no line class cannot split
+    a point class either, so it ends the loop.  Purely structural, hence
+    invariant under relabeling.
     """
-    ncls = len(set(colors))
+    ncls, nlcls = len(set(colors)), -1
     while True:
-        sigs = [tuple(sorted(colors[p] for p in l)) for l in lines]
+        sigs = [tuple(sorted(map(colors.__getitem__, l))) for l in lines]
         lrank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        if len(lrank) == nlcls:
+            return colors
+        nlcls = len(lrank)
         lcol = [lrank[s] for s in sigs]
-        psig = [
-            (colors[p], tuple(sorted(lcol[i] for i in incident[p])))
-            for p in range(n)
-        ]
+        psig = [(c, tuple(sorted(map(lcol.__getitem__, ls)))) for c, ls in zip(colors, incident)]
         prank = {s: r for r, s in enumerate(sorted(set(psig)))}
-        new = tuple(prank[psig[p]] for p in range(n))
+        new = tuple(map(prank.__getitem__, psig))
         k = len(prank)
         if k == ncls:
             return new
@@ -333,9 +334,12 @@ def _refine(n: int, lines: tuple[tuple[int, ...], ...], incident: list[list[int]
 
 
 def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
-    marked = [(c, 1 if p == v else 0) for p, c in enumerate(colors)]
-    rank = {s: r for r, s in enumerate(sorted(set(marked)))}
-    return tuple(rank[s] for s in marked)
+    """``v`` split off just above the rest of its class; ``colors`` are dense
+    ranks."""
+    cv = colors[v]
+    out = [c + (c > cv) for c in colors]
+    out[v] = cv + 1
+    return tuple(out)
 
 
 def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tuple:
@@ -346,10 +350,15 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
     Backtracks over the refinement tree from the point ``colors`` (all equal
     by default): repeatedly individualize each vertex of the first
     non-singleton color class, refine, and keep the lexicographically least
-    relabeled line list among the discrete leaves.  Every automorphism found
-    from equal leaves is kept and prunes the branches it maps onto tried
-    ones, so they generate all color-preserving automorphisms.  Returns the
-    encoding, the labeling (``p`` becomes ``lab[p]``) and these ``sigma``.
+    relabeled line list among the discrete leaves.  A leaf equal to the best
+    one gives an automorphism, which maps the path to that leaf onto the
+    best leaf's path; the subtree below their last common node was searched
+    already, so the search jumps back to that node.  A branch is skipped
+    when it lies in the orbit of a tried one under the group that the kept
+    automorphisms fixing the base generate (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014), and these automorphisms generate every
+    color-preserving one.  Returns the encoding, the labeling (``p``
+    becomes ``lab[p]``) and the automorphisms ``sigma``.
     """
     n, lines = sys.n_points, sys.lines
     if n == 0:
@@ -358,52 +367,56 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
 
     best_enc: Optional[tuple] = None
     best_lab: Optional[tuple[int, ...]] = None
+    best_base: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
-    identity = tuple(range(n))
 
     def encode(lab: tuple[int, ...]) -> tuple:
         relab = sorted(
-            (tuple(sorted(lab[p] for p in line)) for line in lines),
+            (tuple(sorted(map(lab.__getitem__, line))) for line in lines),
             key=lambda t: (len(t), t),
         )
         return (n, tuple(relab))
 
-    def dfs(colors: tuple[int, ...], base: list[int]) -> None:
-        nonlocal best_enc, best_lab
-        colors = _refine(n, lines, incident, colors)
-        cells: dict[int, list[int]] = {}
-        for p, c in enumerate(colors):
-            cells.setdefault(c, []).append(p)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+    def dfs(colors: tuple[int, ...], base: list[int]) -> int:
+        """Searches below ``base`` and returns the depth of the node to go on
+        from: ``len(base)`` or more to go on, less to jump back."""
+        nonlocal best_enc, best_lab, best_base
+        colors = _refine(lines, incident, colors)
+        count = [0] * n
+        for c in colors:
+            count[c] += 1
+        cell = next((c for c, k in enumerate(count) if k > 1), None)
+        if cell is None:
             enc = encode(colors)
             if best_enc is None or enc < best_enc:
-                best_enc, best_lab = enc, colors
+                best_enc, best_lab, best_base = enc, colors, tuple(base)
             elif enc == best_enc:
                 pos_to_point = [0] * n
                 for p, c in enumerate(best_lab):
                     pos_to_point[c] = p
-                sigma = tuple(pos_to_point[colors[p]] for p in range(n))
-                if sigma != identity and sigma not in autos:
+                sigma = tuple(map(pos_to_point.__getitem__, colors))
+                if sigma not in autos:
                     autos.append(sigma)
-            return
+                return next(i for i, (a, b) in enumerate(zip(base, best_base)) if a != b)
+            return len(base)
         tried: list[int] = []
-        for v in target:
-            redundant = False
-            for sigma in autos:
-                if all(sigma[b] == b for b in base) and any(sigma[u] == v for u in tried):
-                    redundant = True
-                    break
-            if redundant:
+        seen: set[int] = set()
+        for v in [p for p, c in enumerate(colors) if c == cell]:
+            if v in seen:
                 continue
             base.append(v)
-            dfs(_individualize(colors, v), base)
+            depth = dfs(_individualize(colors, v), base)
             base.pop()
+            if depth < len(base):
+                return depth
             tried.append(v)
+            # the orbits of the tried branches, closed over the kept generators
+            gens = [s for s in autos if all(s[b] == b for b in base)]
+            seen, layer = set(tried), set(tried)
+            while layer:
+                layer = {s[p] for p in layer for s in gens} - seen
+                seen |= layer
+        return len(base)
 
     dfs(colors or (0,) * n, [])
     assert best_enc is not None and best_lab is not None

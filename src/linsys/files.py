@@ -23,6 +23,18 @@ class InstanceFormatError(Exception):
 
 FORMAT_VERSION = 1
 
+# The largest ground set an instance file may declare.  Every construction
+# here is far smaller (pi:11 has 133 points); the bound stops a file from
+# asking the solvers for one list per point of a huge ground set.
+MAX_POINTS = 10_000
+
+
+def _check_ground_set(n_points: int) -> None:
+    if n_points > MAX_POINTS:
+        raise InstanceFormatError(
+            f"n_points {n_points} exceeds the supported limit of {MAX_POINTS}"
+        )
+
 
 def to_instance_dict(
     sys: LinearSystem,
@@ -50,6 +62,7 @@ def from_instance_dict(doc: dict) -> LinearSystem:
     n_points = doc.get("n_points")
     if not _is_int(n_points) or n_points < 0:
         raise InstanceFormatError(f"n_points must be a nonnegative integer, got {n_points!r}")
+    _check_ground_set(n_points)
     lines = doc.get("lines")
     if not isinstance(lines, list):
         raise InstanceFormatError("lines must be an array of arrays")
@@ -71,6 +84,7 @@ def _parse_text(text: str) -> LinearSystem:
             raise InstanceFormatError(f"non-integer token in text input at line {lineno}")
         lines.append(pts)
     n_points = 1 + max((p for line in lines for p in line), default=-1)
+    _check_ground_set(n_points)
     return new_linear_system(n_points, lines)
 
 
@@ -88,6 +102,8 @@ def load_instance(path: str | Path) -> LinearSystem:
             )
         except RecursionError:
             raise InstanceFormatError("invalid JSON: nested too deeply") from None
+        except ValueError:  # an integer past Python's digit limit
+            raise InstanceFormatError("invalid JSON: a number has too many digits") from None
         return from_instance_dict(doc)
     return _parse_text(text)
 

@@ -471,16 +471,23 @@ def unpruned_c44_classes(
 
 def automorphism_closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
     """Every element of the group the point permutations ``gens`` generate,
-    by breadth-first closure from the identity."""
+    by breadth-first closure from the identity.  A generator that the group
+    built so far already holds is skipped; each other one is kept, and the
+    group is closed again under all kept ones."""
     group = {tuple(range(n))}
-    todo = list(group)
-    while todo:
-        h = todo.pop()
-        for g in gens:
-            gh = tuple(g[p] for p in h)
-            if gh not in group:
-                group.add(gh)
-                todo.append(gh)
+    kept: list[tuple[int, ...]] = []
+    for g in gens:
+        if g in group:
+            continue
+        kept.append(g)
+        todo = list(group)
+        while todo:
+            h = todo.pop()
+            for k in kept:
+                kh = tuple(k[p] for p in h)
+                if kh not in group:
+                    group.add(kh)
+                    todo.append(kh)
     return group
 
 
@@ -522,3 +529,109 @@ def scanned_plane(q: int) -> LinearSystem:
         )
         lines.append(pts)
     return new_linear_system(len(reps), lines)
+
+
+def _plain_refine(n: int, lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
+                  colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Equitable refinement of a point coloring.
+
+    Alternates line signatures (multiset of endpoint colors) and point
+    signatures (own color plus multiset of incident line signatures) until
+    the partition stabilizes.  Purely structural, hence invariant under
+    relabeling.
+    """
+    ncls = len(set(colors))
+    while True:
+        sigs = [tuple(sorted(colors[p] for p in l)) for l in lines]
+        lrank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        lcol = [lrank[s] for s in sigs]
+        psig = [
+            (colors[p], tuple(sorted(lcol[i] for i in incident[p])))
+            for p in range(n)
+        ]
+        prank = {s: r for r, s in enumerate(sorted(set(psig)))}
+        new = tuple(prank[psig[p]] for p in range(n))
+        k = len(prank)
+        if k == ncls:
+            return new
+        colors, ncls = new, k
+
+
+def _plain_individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
+    marked = [(c, 1 if p == v else 0) for p, c in enumerate(colors)]
+    rank = {s: r for r, s in enumerate(sorted(set(marked)))}
+    return tuple(rank[s] for s in marked)
+
+
+def plain_canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tuple:
+    """Reference for ``core._canonical_search``: the search as it was before
+    orbit pruning, backjumping and the cheaper refinement rounds, kept to
+    show that those change no encoding and no automorphism group.  Returns
+    the canonical encoding ``(n_points, lines)`` of ``sys`` itself, lines
+    relabeled and sorted by (size, tuple).
+
+    Backtracks over the refinement tree from the point ``colors`` (all equal
+    by default): repeatedly individualize each vertex of the first
+    non-singleton color class, refine, and keep the lexicographically least
+    relabeled line list among the discrete leaves.  Every automorphism found
+    from equal leaves is kept and prunes the branches it maps onto tried
+    ones, so they generate all color-preserving automorphisms.  Returns the
+    encoding, the labeling (``p`` becomes ``lab[p]``) and these ``sigma``.
+    """
+    n, lines = sys.n_points, sys.lines
+    if n == 0:
+        return (0, ()), (), []
+    incident = _incidence(sys)
+
+    best_enc: Optional[tuple] = None
+    best_lab: Optional[tuple[int, ...]] = None
+    autos: list[tuple[int, ...]] = []
+    identity = tuple(range(n))
+
+    def encode(lab: tuple[int, ...]) -> tuple:
+        relab = sorted(
+            (tuple(sorted(lab[p] for p in line)) for line in lines),
+            key=lambda t: (len(t), t),
+        )
+        return (n, tuple(relab))
+
+    def dfs(colors: tuple[int, ...], base: list[int]) -> None:
+        nonlocal best_enc, best_lab
+        colors = _plain_refine(n, lines, incident, colors)
+        cells: dict[int, list[int]] = {}
+        for p, c in enumerate(colors):
+            cells.setdefault(c, []).append(p)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            enc = encode(colors)
+            if best_enc is None or enc < best_enc:
+                best_enc, best_lab = enc, colors
+            elif enc == best_enc:
+                pos_to_point = [0] * n
+                for p, c in enumerate(best_lab):
+                    pos_to_point[c] = p
+                sigma = tuple(pos_to_point[colors[p]] for p in range(n))
+                if sigma != identity and sigma not in autos:
+                    autos.append(sigma)
+            return
+        tried: list[int] = []
+        for v in target:
+            redundant = False
+            for sigma in autos:
+                if all(sigma[b] == b for b in base) and any(sigma[u] == v for u in tried):
+                    redundant = True
+                    break
+            if redundant:
+                continue
+            base.append(v)
+            dfs(_plain_individualize(colors, v), base)
+            base.pop()
+            tried.append(v)
+
+    dfs(colors or (0,) * n, [])
+    assert best_enc is not None and best_lab is not None
+    return best_enc, best_lab, autos

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,12 +13,15 @@ from linsys import (
     induced_subsystem,
     is_isomorphic,
     new_linear_system,
+    projective_plane,
     prune_low_degree,
     random_linear_system,
     validate_embedding,
 )
+from linsys import core
 from linsys.constructions import GenerationExhausted, find_triangles
 from linsys.core import _canonical_search
+from linsys.verify import exhaustive_small, fixture_instances, random_instances
 
 from _oracles import (
     automorphism_closure,
@@ -25,6 +29,7 @@ from _oracles import (
     brute_automorphisms,
     brute_embeds,
     brute_isomorphic,
+    plain_canonical_search,
 )
 
 
@@ -46,12 +51,28 @@ def test_canonical_form_invariant_under_100_shuffles(fixture, request):
 
 
 def test_canonical_form_of_pi5_invariant_under_shuffles(pi5):
-    # the search keeps 972 and 345 automorphisms on these two shuffles
+    # the search keeps 6 to 8 automorphisms and refines 70 to 243 times on
+    # these ten shuffles
     base = canonical_form(pi5)
     assert base.pruned_sizes == (31, 31)
     rng = random.Random(99)
-    for _ in range(2):
+    for _ in range(10):
         assert canonical_form(_shuffled(pi5, rng)) == base
+
+
+# SHA-256 of canonical_form(pi:7).label as plain_canonical_search computes
+# it; that takes about a minute, so the digest is stored
+PI7_LABEL_SHA256 = "3df368ef7d9040961c91ce81b2d64f2e4e726960f9d0e02c437a43fc647c8f0e"
+
+
+def test_canonical_form_of_pi7_is_unchanged_and_invariant_under_shuffles():
+    pi7 = projective_plane(7).system
+    base = canonical_form(pi7)
+    assert base.pruned_sizes == (57, 57)
+    assert hashlib.sha256(base.label).hexdigest() == PI7_LABEL_SHA256
+    rng = random.Random(99)
+    for _ in range(2):
+        assert canonical_form(_shuffled(pi7, rng)) == base
 
 
 def test_canonical_form_distinguishes_planes(pi2, pi3):
@@ -283,6 +304,13 @@ def test_embeds_handles_pruning_of_candidate():
     assert set(emb.point_map) == set(range(pruned.n_points))
 
 
+def _encoding(sys, lab):
+    """The encoding ``lab`` gives: lines relabeled, sorted by (size, tuple)."""
+    relabeled = sorted((tuple(sorted(lab[p] for p in l)) for l in sys.lines),
+                       key=lambda t: (len(t), t))
+    return (sys.n_points, tuple(relabeled))
+
+
 def _maps_lines_onto_lines(sys, g):
     """One pass over the incidences: every line's image is a line."""
     lines = set(sys.lines)
@@ -298,9 +326,7 @@ def test_search_automorphisms_map_lines_onto_lines(fixture, request):
         assert sorted(g) == list(range(sys.n_points)) and g != tuple(range(sys.n_points))
         assert _maps_lines_onto_lines(sys, g)
     # the labeling is the one the encoding was read from
-    relabeled = sorted((tuple(sorted(lab[p] for p in l)) for l in sys.lines),
-                       key=lambda t: (len(t), t))
-    assert enc == (sys.n_points, tuple(relabeled))
+    assert enc == _encoding(sys, lab)
 
 
 def test_search_automorphisms_generate_the_group_on_small_classes():
@@ -323,3 +349,55 @@ def test_search_automorphisms_of_pi3_and_a_triangle(pi3):
     assert len(group) == 24  # 5616 / 234 triangles
     assert all({g[p] for p in tri} == tri for g in group)
     assert all(_maps_lines_onto_lines(pi3, g) for g in group)
+
+
+def _agrees_with_plain_search(sys, colors=None, reference=None):
+    """Same encoding as the plain search, a labeling that reproduces it, and,
+    up to 13 points, automorphisms that generate the same group."""
+    enc, lab, autos = _canonical_search(sys, colors)
+    ref_enc, _, ref_autos = reference or plain_canonical_search(sys, colors)
+    assert enc == ref_enc
+    assert _encoding(sys, lab) == enc
+    if sys.n_points <= 13:
+        n = sys.n_points
+        assert automorphism_closure(autos, n) == automorphism_closure(ref_autos, n)
+
+
+def test_search_matches_plain_search_on_exhaustive_classes():
+    classes = exhaustive_small(7, 5)
+    assert len(classes) == 421
+    for sys in classes:
+        _agrees_with_plain_search(sys)
+
+
+def test_search_matches_plain_search_on_shuffled_fixtures(pi3):
+    rng = random.Random(17)
+    for inst in fixture_instances():
+        # the plain search takes seconds on a shuffled pi:5; its encoding is
+        # invariant, so one run on the fixture serves all shuffles
+        reference = plain_canonical_search(inst.system) if inst.name == "pi:5" else None
+        _agrees_with_plain_search(inst.system, reference=reference)
+        for _ in range(10):
+            _agrees_with_plain_search(_shuffled(inst.system, rng), reference=reference)
+    # the c44 search's start: pi:3 with a triangle's vertices coloured apart
+    tri = set(find_triangles(pi3)[0].vertices)
+    _agrees_with_plain_search(pi3, tuple(int(p in tri) for p in range(13)))
+
+
+def test_search_matches_plain_search_on_random_systems():
+    for inst in random_instances(3, 300):
+        _agrees_with_plain_search(inst.system)
+
+
+def test_canonical_form_of_pi5_refines_at_most_200_times(pi5, monkeypatch):
+    # the plain search refines 1,447 times here, this search 118 times
+    calls = []
+    refine = core._refine
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(core, "_refine", counted)
+    assert canonical_form(pi5).pruned_sizes == (31, 31)
+    assert 0 < len(calls) <= 200

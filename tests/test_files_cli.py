@@ -15,7 +15,7 @@ from linsys import (
 )
 from linsys import cli
 from linsys.cli import main
-from linsys.files import InstanceFormatError, from_instance_dict, to_instance_dict
+from linsys.files import MAX_POINTS, InstanceFormatError, from_instance_dict, to_instance_dict
 from linsys.verify import HarnessError, VerifyConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -108,6 +108,40 @@ def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
         load_instance(deep)
     assert main(["solve", str(deep)]) == cli.EXIT_BAD_INSTANCE
     assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_integer_past_the_digit_limit_is_a_format_error(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"format_version": 1, "n_points": ' + "1" * 5000 + ', "lines": []}')
+    with pytest.raises(InstanceFormatError):
+        load_instance(huge)
+    assert main(["stats", str(huge)]) == cli.EXIT_BAD_INSTANCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_huge_ground_set_fails_at_once(tmp_path):
+    too_many = 1_000_000_000
+    json_file = tmp_path / "huge.json"
+    json_file.write_text(
+        json.dumps({"format_version": 1, "n_points": too_many, "lines": [[0]]})
+    )
+    text_file = tmp_path / "huge.txt"
+    text_file.write_text(f"0 {too_many - 1}\n")
+    message = f"error: n_points {too_many} exceeds the supported limit of {MAX_POINTS}\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    for command in ("stats", "solve"):
+        for path in (json_file, text_file):
+            done = subprocess.run(
+                [sys.executable, "-m", "linsys", command, str(path)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == cli.EXIT_BAD_INSTANCE
+            assert done.stderr == message
+    # the largest ground set allowed still loads
+    edge = tmp_path / "edge.txt"
+    edge.write_text(f"0 {MAX_POINTS - 1}\n")
+    assert load_instance(edge).n_points == MAX_POINTS
 
 
 def test_cli_verify_defaults_come_from_verify_config():

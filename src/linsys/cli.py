@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from collections import Counter
 from pathlib import Path
 
 from .core import LinearSystemError, _incidence
@@ -74,11 +75,21 @@ def _named_system(name: str) -> NamedSystem | list[NamedSystem]:
     )
 
 
-def _write_members(out_dir: Path, members) -> None:
+def _write_failed(exc: OSError) -> int:
+    _err(f"cannot write {exc.filename}: {exc.strerror}")
+    return EXIT_BAD_PARAMS
+
+
+def _write_members(out_dir: Path, members, noun: str) -> int:
     """One instance file per family member, named by its index."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, ns in enumerate(members):
-        save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, ns in enumerate(members):
+            save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
+    except OSError as exc:
+        return _write_failed(exc)
+    print(f"wrote {len(members)} {noun} to {out_dir}/")
+    return EXIT_OK
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -87,13 +98,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     except LinearSystemError as exc:
         _err(str(exc))
         return EXIT_BAD_PARAMS
+    if isinstance(built, list):
+        return _write_members(Path(args.out or "c44"), built, "systems")
+    out = Path(args.out or args.name.replace(":", "") + ".json")
     try:
-        if isinstance(built, list):
-            out_dir = Path(args.out) if args.out else Path("c44")
-            _write_members(out_dir, built)
-            print(f"wrote {len(built)} systems to {out_dir}/")
-            return EXIT_OK
-        out = Path(args.out) if args.out else Path(args.name.replace(":", "") + ".json")
         save_instance(out, built.system, name=built.name, comments=_symbol_comment(built))
     except OSError as exc:
         return _write_failed(exc)
@@ -101,49 +109,36 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_failed(exc: OSError) -> int:
-    _err(f"cannot write {exc.filename}: {exc.strerror}")
-    return EXIT_BAD_PARAMS
-
-
 def _load(path: str):
     try:
         return load_instance(path)
     except OSError as exc:
         _err(f"cannot read {path}: {exc.strerror}")
-        return None
     except UnicodeDecodeError:
         _err(f"cannot read {path}: not UTF-8 text")
-        return None
     except (InstanceFormatError, LinearSystemError) as exc:
         _err(str(exc))
-        return None
+    return None
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    sys_ = _load(args.instance)
-    if sys_ is None:
-        return EXIT_BAD_INSTANCE
-    doc: dict = {}
-    if args.what in ("tau", "both"):
-        cert = transversal_number(sys_)
-        doc["tau"] = {"value": cert.value, "members": list(cert.members)}
-    if args.what in ("nu2", "both"):
-        cert = two_packing_number(sys_)
-        doc["nu2"] = {"value": cert.value, "members": list(cert.members)}
-    if args.format == "text":
-        for key, val in doc.items():
-            print(f"{key} = {val['value']}  witness {val['members']}")
-    else:
-        print(json.dumps(doc, indent=2))
+def _print_doc(args: argparse.Namespace, doc: dict, text: str) -> int:
+    """Print ``doc`` as indented JSON, or ``text`` under ``--format text``."""
+    print(text if args.format == "text" else json.dumps(doc, indent=2))
     return EXIT_OK
 
 
+def cmd_solve(args: argparse.Namespace) -> int:
+    doc: dict = {}
+    for key, solver in (("tau", transversal_number), ("nu2", two_packing_number)):
+        if args.what in (key, "both"):
+            cert = solver(args.system)
+            doc[key] = {"value": cert.value, "members": list(cert.members)}
+    text = "\n".join(f"{k} = {v['value']}  witness {v['members']}" for k, v in doc.items())
+    return _print_doc(args, doc, text)
+
+
 def cmd_planarity(args: argparse.Namespace) -> int:
-    sys_ = _load(args.instance)
-    if sys_ is None:
-        return EXIT_BAD_INSTANCE
-    graph = incidence_graph(sys_)
+    graph = incidence_graph(args.system)
     verdict = is_planar(graph)
     if not validate_verdict(graph, verdict):
         _err("planarity certificate failed validation")
@@ -157,58 +152,43 @@ def cmd_planarity(args: argparse.Namespace) -> int:
             "branch_vertices": list(verdict.witness.branch_vertices),
             "paths": [list(p) for p in verdict.witness.paths],
         }
-    if args.format == "text":
-        print("planar" if verdict.planar else f"non-planar ({doc['witness']['kind']} subdivision)")
-    else:
-        print(json.dumps(doc, indent=2))
-    return EXIT_OK
+    text = "planar" if verdict.planar else f"non-planar ({verdict.witness.kind} subdivision)"
+    return _print_doc(args, doc, text)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    sys_ = _load(args.instance)
-    if sys_ is None:
-        return EXIT_BAD_INSTANCE
+    sys_ = args.system
     degrees = [len(ls) for ls in _incidence(sys_)]
-    deg_hist: dict[int, int] = {}
-    for d in degrees:
-        deg_hist[d] = deg_hist.get(d, 0) + 1
-    size_hist: dict[int, int] = {}
-    for line in sys_.lines:
-        size_hist[len(line)] = size_hist.get(len(line), 0) + 1
+
+    def histogram(values) -> dict[str, int]:
+        return {str(k): v for k, v in sorted(Counter(values).items())}
+
     doc = {
         "n_points": sys_.n_points,
         "n_lines": sys_.n_lines,
         "max_degree": max(degrees, default=0),
-        "degree_histogram": {str(k): v for k, v in sorted(deg_hist.items())},
-        "line_size_histogram": {str(k): v for k, v in sorted(size_hist.items())},
+        "degree_histogram": histogram(degrees),
+        "line_size_histogram": histogram(map(len, sys_.lines)),
         "points_degree_ge_3": sum(d >= 3 for d in degrees),
         "points_degree_ge_4": sum(d >= 4 for d in degrees),
     }
-    if args.format == "text":
-        for k, v in doc.items():
-            print(f"{k}: {v}")
-    else:
-        print(json.dumps(doc, indent=2))
-    return EXIT_OK
+    return _print_doc(args, doc, "\n".join(f"{k}: {v}" for k, v in doc.items()))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    bounds = None
+    config = VerifyConfig(
+        seed=args.seed, n_random=args.random, include_fixtures=not args.no_fixtures
+    )
     if args.exhaustive:
         try:
             p, l = (int(x) for x in args.exhaustive.split(","))
         except ValueError:
             _err(f'bad --exhaustive value {args.exhaustive!r}; expected "P,L"')
             return EXIT_BAD_PARAMS
-        bounds = (p, l)
+        config.exhaustive_bounds = (p, l)
     if args.random < 0:
         _err(f"--random must be nonnegative, got {args.random}")
         return EXIT_BAD_PARAMS
-    config = VerifyConfig(
-        seed=args.seed, n_random=args.random, include_fixtures=not args.no_fixtures
-    )
-    if bounds is not None:
-        config.exhaustive_bounds = bounds
     # an unwritable report directory fails before the harness runs
     out_dir = Path(args.out) if args.out else Path("verify-report")
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
@@ -246,22 +226,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_enumerate_c44(args: argparse.Namespace) -> int:
     members = enumerate_c44()
     if args.out:
-        out_dir = Path(args.out)
-        try:
-            _write_members(out_dir, members)
-        except OSError as exc:
-            return _write_failed(exc)
-        print(f"wrote {len(members)} members to {out_dir}/")
-    else:
-        doc = [
-            {
-                "name": ns.name,
-                "n_points": ns.system.n_points,
-                "n_lines": ns.system.n_lines,
-            }
-            for ns in members
-        ]
-        print(json.dumps(doc, indent=2))
+        return _write_members(Path(args.out), members, "members")
+    doc = [
+        {"name": ns.name, "n_points": ns.system.n_points, "n_lines": ns.system.n_lines}
+        for ns in members
+    ]
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
@@ -277,21 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (directory for c44)")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("solve", help="compute tau and/or nu2 with witnesses")
-    p.add_argument("instance")
-    p.add_argument("--what", choices=("tau", "nu2", "both"), default="both")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("planarity", help="incidence-graph planarity with certificate")
-    p.add_argument("instance")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_planarity)
-
-    p = sub.add_parser("stats", help="degree and line-size profile")
-    p.add_argument("instance")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_stats)
+    for name, func, help_text in (
+        ("solve", cmd_solve, "compute tau and/or nu2 with witnesses"),
+        ("planarity", cmd_planarity, "incidence-graph planarity with certificate"),
+        ("stats", cmd_stats, "degree and line-size profile"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("instance")
+        if name == "solve":
+            p.add_argument("--what", choices=("tau", "nu2", "both"), default="both")
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the claim harness and write reports")
     p.add_argument("--seed", type=int, default=VerifyConfig.seed)
@@ -310,8 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # solve, planarity and stats take an instance file, loaded here for all three
+    if hasattr(args, "instance"):
+        args.system = _load(args.instance)
+        if args.system is None:
+            return EXIT_BAD_INSTANCE
     return args.func(args)
 
 

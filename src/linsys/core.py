@@ -574,6 +574,8 @@ def validate_embedding(a: LinearSystem, b: LinearSystem, emb: Embedding) -> bool
     image of the candidate point set."""
     src, _ = prune_low_degree(a)
     pm = emb.point_map
+    if not (isinstance(pm, dict) and isinstance(emb.line_map, dict)):
+        return False
     # True == 1 and 1.0 hashes as 1, but neither is an id
     if not all(map(_is_int, [*pm, *pm.values(), *emb.line_map, *emb.line_map.values()])):
         return False

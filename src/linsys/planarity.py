@@ -97,23 +97,28 @@ def incidence_graph(sys: LinearSystem) -> Graph:
     )
 
 
+def _adjacency(edges, vertices=()) -> dict[int, set[int]]:
+    """Neighbour sets of the endpoints of ``edges``, plus each of
+    ``vertices`` (isolated ones get an empty set)."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
 def _decompose_subdivision(edges: set[tuple[int, int]]) -> KuratowskiWitness:
     """Split an edge-minimal non-planar graph into branch vertices and the
     internally disjoint paths joining them."""
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v in adj:
-        adj[v].sort()
+    adj = _adjacency(edges)
     branch = sorted(v for v, nbrs in adj.items() if len(nbrs) >= 3)
     paths = set()
     for b in branch:
         for first in adj[b]:
             path = [b, first]
             while path[-1] not in branch:
-                nbrs = adj[path[-1]]
-                nxt = nbrs[0] if nbrs[1] == path[-2] else nbrs[1]
+                # an inner vertex has degree 2: step to the neighbour not just left
+                (nxt,) = adj[path[-1]] - {path[-2]}
                 path.append(nxt)
             tup = tuple(path)
             rev = tuple(reversed(path))
@@ -131,10 +136,7 @@ def _decompose_subdivision(edges: set[tuple[int, int]]) -> KuratowskiWitness:
 def _two_core(edges) -> dict[int, set[int]]:
     """Adjacency of the 2-core: vertices of degree below 2 are stripped until
     none is left."""
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    adj = _adjacency(edges)
     # a vertex is stacked once: at the start, or when its degree drops to 1
     stack = [v for v, nbrs in adj.items() if len(nbrs) < 2]
     while stack:
@@ -237,37 +239,16 @@ def zykov_planar(sys: LinearSystem) -> PlanarityVerdict:
     return is_planar(incidence_graph(sys))
 
 
-def _components(n: int, edges) -> list[set[int]]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comps: dict[int, set[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values())
-
-
 def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) -> bool:
-    """Face-trace the rotation system and check Euler's formula per connected
-    component; genus zero is exactly what V - E + F = 2 certifies."""
-    adj: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    """Face-trace the rotation system and check Euler's formula summed over
+    the connected components that have an edge."""
+    adj = _adjacency(g.edges, range(g.n_vertices))
     if not isinstance(rotation, dict) or rotation.keys() != adj.keys():
         return False
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, rot in rotation.items():
-        if not (isinstance(rot, tuple) and all(map(_is_int, rot))):
+        # False == 0 and 1.0 == 1 pass the key comparison, but neither is an id
+        if not (_is_int(v) and isinstance(rot, tuple) and all(map(_is_int, rot))):
             return False
         if set(rot) != adj[v] or len(rot) != len(adj[v]):
             return False
@@ -275,13 +256,8 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
         for i, u in enumerate(rot):
             # next dart of (u, v) in face traversal
             succ[(u, v)] = (v, rot[(i + 1) % d])
-    comp_of: dict[int, int] = {}
-    comps = _components(g.n_vertices, g.edges)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
     counted: set[tuple[int, int]] = set()
-    face_count = [0] * len(comps)
+    faces = 0
     for dart in succ:
         if dart in counted:
             continue
@@ -291,14 +267,23 @@ def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) ->
             cur = succ[cur]
         if cur != dart:
             return False  # darts must close into cycles
-        face_count[comp_of[dart[0]]] += 1
-    for ci, comp in enumerate(comps):
-        e = sum(1 for u, v in g.edges if u in comp)
-        if e == 0:
-            continue  # isolated vertex, trivially planar
-        if len(comp) - e + face_count[ci] != 2:
-            return False
-    return True
+        faces += 1
+    seen: set[int] = set()
+    n_comps = 0
+    for root in adj:
+        if root in seen or not adj[root]:
+            continue  # an isolated vertex has no darts and is trivially planar
+        n_comps += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    # each component has V - E + F = 2 - 2g with genus g >= 0 (Heffter-Edmonds),
+    # so the sum reaches 2C only when every component has genus zero
+    return len(seen) - len(g.edges) + faces == 2 * n_comps
 
 
 def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
@@ -341,22 +326,13 @@ def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
         pairs.add(pair)
     if w.kind == "K5":
         return pairs == set(itertools.combinations(sorted(branch), 2))
-    # K33: pair graph must be 3-regular bipartite on 3+3 vertices
-    deg = {b: 0 for b in branch}
-    for a, b in pairs:
-        deg[a] += 1
-        deg[b] += 1
-    if any(d != 3 for d in deg.values()):
-        return False
+    # K33: the first branch vertex and those not paired with it form one
+    # side, and the 9 distinct pairs must join it to the other side
     b0 = branch[0]
-    side_a = {b0} | {b for b in branch if (min(b0, b), max(b0, b)) not in pairs and b != b0}
-    side_b = set(branch) - side_a
-    if len(side_a) != 3 or len(side_b) != 3:
-        return False
-    for a, b in pairs:
-        if (a in side_a) == (b in side_a):
-            return False
-    return True
+    side = {b0} | {b for b in branch if (min(b0, b), max(b0, b)) not in pairs and b != b0}
+    return len(side) == 3 and pairs == {
+        (min(a, b), max(a, b)) for a in side for b in branch_set - side
+    }
 
 
 def validate_verdict(g: Graph, v: PlanarityVerdict) -> bool:
@@ -364,4 +340,4 @@ def validate_verdict(g: Graph, v: PlanarityVerdict) -> bool:
     system for planar, genuine Kuratowski subdivision for non-planar."""
     if v.planar:
         return v.embedding is not None and _validate_embedding_euler(g, v.embedding)
-    return v.witness is not None and _validate_witness(g, v.witness)
+    return isinstance(v.witness, KuratowskiWitness) and _validate_witness(g, v.witness)

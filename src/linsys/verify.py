@@ -377,13 +377,11 @@ def random_instances(seed: int, count: int) -> list[Instance]:
     """Deterministic sweep instances cycling through size profiles; draws that
     exhaust the rejection budget are skipped."""
     out = []
-    i = 0
     attempt = 0
     while len(out) < count:
-        n_points, n_lines, sizes = _RANDOM_PROFILES[i % len(_RANDOM_PROFILES)]
+        n_points, n_lines, sizes = _RANDOM_PROFILES[attempt % len(_RANDOM_PROFILES)]
         sub_seed = seed * 1_000_003 + attempt
         attempt += 1
-        i += 1
         try:
             sys = random_linear_system(n_points, n_lines, sizes, sub_seed)
         except GenerationExhausted:

@@ -25,12 +25,18 @@ from linsys.core import (
     _canonical_key,
     _canonical_search,
     _incidence,
+    _is_int,
     _mask,
     _pair_line_index,
     _restrict,
     embeds_as_subsystem,
 )
-from linsys.planarity import Graph, KuratowskiWitness, _decompose_subdivision
+from linsys.planarity import (
+    Graph,
+    KuratowskiWitness,
+    PlanarityVerdict,
+    _decompose_subdivision,
+)
 from linsys.solvers import Certificate, two_packing_number
 
 
@@ -635,3 +641,136 @@ def plain_canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) ->
     dfs(colors or (0,) * n, [])
     assert best_enc is not None and best_lab is not None
     return best_enc, best_lab, autos
+
+
+# Reference certificate checker: Euler's formula checked per component, the
+# components found by union-find, and K3,3 checked by pair degrees and sides.
+# ``planarity.validate_verdict`` must agree with it on every certificate.
+
+def _components(n: int, edges) -> list[set[int]]:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    comps: dict[int, set[int]] = {}
+    for v in range(n):
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
+
+
+def _validate_embedding_euler(g: Graph, rotation: dict[int, tuple[int, ...]]) -> bool:
+    """Face-trace the rotation system and check Euler's formula per connected
+    component; genus zero is exactly what V - E + F = 2 certifies."""
+    adj: dict[int, set[int]] = {v: set() for v in range(g.n_vertices)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if not isinstance(rotation, dict) or rotation.keys() != adj.keys():
+        return False
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for v, rot in rotation.items():
+        if not (isinstance(rot, tuple) and all(map(_is_int, rot))):
+            return False
+        if set(rot) != adj[v] or len(rot) != len(adj[v]):
+            return False
+        d = len(rot)
+        for i, u in enumerate(rot):
+            # next dart of (u, v) in face traversal
+            succ[(u, v)] = (v, rot[(i + 1) % d])
+    comp_of: dict[int, int] = {}
+    comps = _components(g.n_vertices, g.edges)
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    counted: set[tuple[int, int]] = set()
+    face_count = [0] * len(comps)
+    for dart in succ:
+        if dart in counted:
+            continue
+        cur = dart
+        while cur not in counted:
+            counted.add(cur)
+            cur = succ[cur]
+        if cur != dart:
+            return False  # darts must close into cycles
+        face_count[comp_of[dart[0]]] += 1
+    for ci, comp in enumerate(comps):
+        e = sum(1 for u, v in g.edges if u in comp)
+        if e == 0:
+            continue  # isolated vertex, trivially planar
+        if len(comp) - e + face_count[ci] != 2:
+            return False
+    return True
+
+
+def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
+    if w.kind not in ("K5", "K33"):
+        return False
+    if not isinstance(w.branch_vertices, tuple) or not isinstance(w.paths, tuple):
+        return False
+    branch = list(w.branch_vertices)
+    if not all(map(_is_int, branch)) or len(set(branch)) != len(branch):
+        return False
+    if any(not (0 <= b < g.n_vertices) for b in branch):
+        return False
+    expected_paths = {"K5": 10, "K33": 9}[w.kind]
+    if len(w.paths) != expected_paths:
+        return False
+    if len(branch) != {"K5": 5, "K33": 6}[w.kind]:
+        return False
+    branch_set = set(branch)
+    internal_seen: set[int] = set()
+    pairs: set[tuple[int, int]] = set()
+    for path in w.paths:
+        if not (isinstance(path, tuple) and all(map(_is_int, path))):
+            return False
+        if len(path) < 2 or len(set(path)) != len(path):
+            return False
+        a, b = path[0], path[-1]
+        if a not in branch_set or b not in branch_set:
+            return False
+        for u, v in zip(path, path[1:]):
+            e = (u, v) if u < v else (v, u)
+            if e not in g.edges:
+                return False
+        for v in path[1:-1]:
+            if v in branch_set or v in internal_seen:
+                return False
+            internal_seen.add(v)
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
+            return False
+        pairs.add(pair)
+    if w.kind == "K5":
+        return pairs == set(itertools.combinations(sorted(branch), 2))
+    # K33: pair graph must be 3-regular bipartite on 3+3 vertices
+    deg = {b: 0 for b in branch}
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+    if any(d != 3 for d in deg.values()):
+        return False
+    b0 = branch[0]
+    side_a = {b0} | {b for b in branch if (min(b0, b), max(b0, b)) not in pairs and b != b0}
+    side_b = set(branch) - side_a
+    if len(side_a) != 3 or len(side_b) != 3:
+        return False
+    for a, b in pairs:
+        if (a in side_a) == (b in side_a):
+            return False
+    return True
+
+
+def reference_validate_verdict(g: Graph, v: PlanarityVerdict) -> bool:
+    """Reference for ``planarity.validate_verdict``."""
+    if v.planar:
+        return v.embedding is not None and _validate_embedding_euler(g, v.embedding)
+    return v.witness is not None and _validate_witness(g, v.witness)

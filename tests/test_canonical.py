@@ -146,6 +146,11 @@ def test_validate_embedding_rejects_tampering(c_sys, pi3):
         ({0: 0, 1: True, 2: 2}, emb.line_map),
         (emb.point_map, {0: 0, True: 1, 2: 3}),
         (emb.point_map, {0: 0, 1: 1.0, 2: 3}),
+        # maps that are not dicts are rejected, not a crash
+        ([0] * 10, emb.line_map),
+        (emb.point_map, None),
+        (None, emb.line_map),
+        (emb.point_map, list(emb.line_map.items())),
     ):
         assert not validate_embedding(triangle, host, Embedding(point_map, line_map))
 

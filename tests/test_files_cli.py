@@ -251,6 +251,37 @@ def test_cli_solve_single_number(tmp_path, capsys, monkeypatch):
     assert "nu2 = 4" in capsys.readouterr().out
 
 
+def test_cli_text_outputs(tmp_path, capsys):
+    assert main(["stats", str(FIXTURES / "c.json"), "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "n_points: 10\n"
+        "n_lines: 10\n"
+        "max_degree: 4\n"
+        "degree_histogram: {'3': 6, '4': 4}\n"
+        "line_size_histogram: {'3': 6, '4': 4}\n"
+        "points_degree_ge_3: 10\n"
+        "points_degree_ge_4: 4\n"
+    )
+    assert main(["solve", str(FIXTURES / "c34.json"), "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "tau = 4  witness [0, 1, 2, 3]\nnu2 = 4  witness [0, 1, 3, 4]\n"
+    )
+    path = tmp_path / "planar.txt"
+    path.write_text("0 1 2\n3 4 5\n2 6\n")
+    assert main(["stats", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "n_points: 7\n"
+        "n_lines: 3\n"
+        "max_degree: 2\n"
+        "degree_histogram: {'1': 6, '2': 1}\n"
+        "line_size_histogram: {'2': 1, '3': 2}\n"
+        "points_degree_ge_3: 0\n"
+        "points_degree_ge_4: 0\n"
+    )
+    assert main(["solve", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == "tau = 2  witness [2, 3]\nnu2 = 3  witness [0, 1, 2]\n"
+
+
 def test_cli_planarity_planar_instance(tmp_path, capsys):
     path = tmp_path / "disjoint.json"
     save_instance(path, new_linear_system(6, [[0, 1, 2], [3, 4, 5]]))
@@ -292,11 +323,13 @@ def test_cli_enumerate_c44_summary(capsys):
 def test_cli_enumerate_c44(tmp_path, capsys):
     out_dir = tmp_path / "members"
     assert main(["enumerate-c44", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote 8 members to {out_dir}/\n"
     files = sorted(out_dir.glob("member_*.json"))
     assert len(files) == 8
     assert load_instance(files[0]).n_lines >= 10
     constructed = tmp_path / "constructed"
     assert main(["construct", "c44", "--out", str(constructed)]) == 0
+    assert capsys.readouterr().out == f"wrote 8 systems to {constructed}/\n"
     assert sorted(p.name for p in constructed.iterdir()) == [f.name for f in files]
     for f in files:
         assert (constructed / f.name).read_bytes() == f.read_bytes()

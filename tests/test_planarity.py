@@ -25,7 +25,7 @@ from linsys import verify
 from linsys.planarity import _kuratowski_witness
 from linsys.verify import Instance, random_instances
 
-from _oracles import brute_planar, greedy_kuratowski_witness
+from _oracles import brute_planar, greedy_kuratowski_witness, reference_validate_verdict
 
 
 def _complete(n):
@@ -165,6 +165,10 @@ def test_validate_rejects_malformed_certificates():
         rot[0] = bad
         assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
     assert not validate_verdict(tri, PlanarityVerdict(True, embedding=list(good.items())))
+    for key, bad in ((0, False), (1, 1.0)):
+        rot = {bad if v == key else v: r for v, r in good.items()}
+        assert rot.keys() == good.keys()
+        assert not validate_verdict(tri, PlanarityVerdict(True, embedding=rot))
     k5 = _complete(5)
     w = is_planar(k5).witness
     assert validate_verdict(k5, PlanarityVerdict(False, witness=w))
@@ -177,6 +181,8 @@ def test_validate_rejects_malformed_certificates():
         KuratowskiWitness("K5", w.branch_vertices, (("a", 1),) + w.paths[1:]),
         KuratowskiWitness("K5", w.branch_vertices, (None,) + w.paths[1:]),
         KuratowskiWitness("K5", w.branch_vertices, ((0.0, 1),) + w.paths[1:]),
+        "x",
+        (w.kind, w.branch_vertices, w.paths),
     ):
         assert not validate_verdict(k5, PlanarityVerdict(False, witness=bad))
 
@@ -274,3 +280,66 @@ def test_six_point_straight_line_system_outside_the_planar_proxy():
     claim = next(c for c in verify._claims()
                  if c.claim_id == "planar-nu2-234-tau-strictly-below")
     assert not claim.applies(Instance("six-point", s))
+
+
+def _tampered(rng, g, verdict):
+    """The verdict and copies of it with one certificate tampered: rotations
+    shuffled at random vertices, a path duplicated, a branch vertex replaced,
+    or the kind flipped (also with a branch vertex added and a path dropped,
+    which fits a K5's counts to a K3,3's)."""
+    yield verdict
+    if verdict.planar:
+        for _ in range(3):
+            rot = dict(verdict.embedding)
+            for x in rng.sample(range(g.n_vertices), rng.randint(1, g.n_vertices)):
+                rot[x] = tuple(rng.sample(rot[x], len(rot[x])))
+            yield PlanarityVerdict(True, embedding=rot)
+        return
+    w = verdict.witness
+    paths, branch = list(w.paths), list(w.branch_vertices)
+    copied = paths[:]
+    copied[rng.randrange(len(paths))] = rng.choice(paths)
+    moved = branch[:]
+    moved[rng.randrange(len(branch))] = rng.randrange(g.n_vertices)
+    flipped = "K5" if w.kind == "K33" else "K33"
+    for kind, bv, ps in (
+        (w.kind, branch, copied),
+        (w.kind, branch, paths + [rng.choice(paths)]),
+        (w.kind, moved, paths),
+        (flipped, branch, paths),
+        (flipped, branch + [rng.randrange(g.n_vertices)], paths[:9]),
+    ):
+        yield PlanarityVerdict(False, witness=KuratowskiWitness(kind, tuple(bv), tuple(ps)))
+
+
+def test_validate_verdict_matches_reference_on_tampered_certificates(
+    pi2, pi3, c34, c_sys
+):
+    rng = random.Random(18)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        possible = list(itertools.combinations(range(n), 2))
+        g = new_graph(n, rng.sample(possible, rng.randint(0, len(possible))))
+        cases += [(g, v) for v in _tampered(rng, g, is_planar(g))]
+    systems = [pi2, pi3, c34, c_sys, _grid(), *(ns.system for ns in enumerate_c44()),
+               new_linear_system(9, [[0, 1, 2], [2, 3], [3, 4, 5], [5, 6, 0], [7, 8]])]
+    for s in systems:
+        g = incidence_graph(s)
+        verdict = is_planar(g)
+        for _ in range(40):
+            cases += [(g, v) for v in _tampered(rng, g, verdict)]
+    # 9 single-edge paths between 6 branch vertices of K6: only a K3,3 pair
+    # set passes, and the prism, also 3-regular, must fail
+    k6 = _complete(6)
+    prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    k33 = sorted(_k33().edges)
+    for i in range(600):
+        paths = (prism, k33, rng.sample(sorted(k6.edges), 9))[i % 3]
+        branch = tuple(rng.sample(range(6), 6))
+        cases.append((k6, PlanarityVerdict(False, witness=KuratowskiWitness(
+            "K33", branch, tuple(p if rng.random() < 0.5 else p[::-1] for p in paths)))))
+    assert len(cases) >= 4000
+    outcomes = [validate_verdict(g, v) for g, v in cases]
+    assert outcomes == [reference_validate_verdict(g, v) for g, v in cases]
+    assert 0 < sum(outcomes) < len(outcomes)

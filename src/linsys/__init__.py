@@ -59,6 +59,7 @@ from .constructions import (
     c_explicit,
     enumerate_c44,
     enumerate_c44_exhaustive,
+    exhaustive_small,
     find_triangles,
     projective_plane,
     random_linear_system,
@@ -81,7 +82,6 @@ from .verify import (
     HarnessError,
     Instance,
     VerifyConfig,
-    exhaustive_small,
     run_all,
 )
 from .files import (

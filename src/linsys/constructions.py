@@ -1,10 +1,11 @@
-"""Builders for the named extremal structures and a seeded random generator.
+"""Builders for the named extremal structures, and every system generator.
 
 The central objects: prime-order projective planes from homogeneous
 coordinates, the 8-point 3-regular system ``c34`` and the 10-point system
 ``c`` (both the explicit tables and their derivations from the order-3
-plane), and the enumeration of the family ``c44`` of systems sandwiched
-between ``c`` and the order-3 plane with 2-packing number 4.
+plane), the enumeration of the family ``c44`` of systems sandwiched
+between ``c`` and the order-3 plane with 2-packing number 4, a seeded
+random sampler, and the exhaustive class of small systems.
 """
 
 from __future__ import annotations
@@ -302,8 +303,8 @@ def _line_fits(free: list[int], singles: int, lo: int, hi: int) -> bool:
     return singles != everyone or (hi >= 2 and _free_set_exists(free, everyone, 2))
 
 
-def _size_range(size_range: tuple[int, int]) -> tuple[int, int]:
-    """The bounds ``(lo, hi)`` of a line-size range; raises
+def _size_range(size_range: tuple[int, int], n: int) -> tuple[int, int]:
+    """The bounds ``(lo, min(hi, n))`` of a line-size range; raises
     :class:`GenerationExhausted` unless it is two ints with ``1 <= lo <= hi``."""
     try:
         lo, hi = size_range
@@ -311,7 +312,7 @@ def _size_range(size_range: tuple[int, int]) -> tuple[int, int]:
         raise GenerationExhausted(f"infeasible size range {size_range}") from None
     if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
         raise GenerationExhausted(f"infeasible size range {size_range}")
-    return lo, hi
+    return lo, min(hi, n)
 
 
 def random_linear_system(
@@ -333,18 +334,16 @@ def random_linear_system(
         raise BadPointId(f"point count must be an integer, got {n_points!r}")
     if not _is_int(n_lines) or n_lines < 0:
         raise GenerationExhausted(f"line count must be a nonnegative integer, got {n_lines!r}")
-    lo, hi = _size_range(line_size_range)
+    lo, hi = _size_range(line_size_range, n_points)
     if lo > n_points:
         raise GenerationExhausted(
             f"size range {line_size_range} infeasible with {n_points} points"
         )
-    hi = min(hi, n_points)
     rng = random.Random(seed)
     lines: list[tuple[int, ...]] = []
     # free[p]: the points that share no accepted line with p
     free = [((1 << n_points) - 1) ^ (1 << p) for p in range(n_points)]
     singles = 0  # the points whose singleton is an accepted line
-    untested = False  # a line was accepted since _line_fits last ran
     attempts = 0
     budget = 400 * n_lines + 200
     while len(lines) < n_lines:
@@ -361,19 +360,76 @@ def random_linear_system(
         else:
             ok = all(m & free[p] == m ^ (1 << p) for p in pts)
         if not ok:
-            # asked on the first rejection after an acceptance, not on every
-            # acceptance: most acceptances are followed by another one
-            if untested:
-                untested = False
-                if not _line_fits(free, singles, lo, hi):
-                    raise GenerationExhausted(
-                        f"no line of {lo} to {hi} points fits after {len(lines)}/{n_lines} lines"
-                    )
             continue
         lines.append(pts)
         if size == 1:
             singles |= m
         for p in pts:
             free[p] &= ~m
-        untested = True
+        if len(lines) < n_lines and not _line_fits(free, singles, lo, hi):
+            raise GenerationExhausted(
+                f"no line of {lo} to {hi} points fits after {len(lines)}/{n_lines} lines"
+            )
     return new_linear_system(n_points, lines)
+
+
+def exhaustive_small(
+    max_points: int, max_lines: int, size_range: tuple[int, int] = (2, 4)
+) -> list[LinearSystem]:
+    """All linear systems within the bounds, one per isomorphism class.
+
+    Orbit-pruned orderly extension: lines are added in non-increasing size
+    order (every system can be built that way), new points take the next free
+    ids, a new line reuses only the first point set of each orbit under the
+    automorphisms the class's canonical search found (which map extensions
+    onto isomorphic ones), and each level is deduplicated by canonical
+    encoding.  Ground sets carry no isolated points.  Raises
+    :class:`GenerationExhausted` for a bound that is not a nonnegative int or
+    a size range that is not two ints with ``1 <= lo <= hi``.
+    """
+    if not all(_is_int(b) and b >= 0 for b in (max_points, max_lines)):
+        raise GenerationExhausted(
+            f"bounds must be nonnegative integers, got {max_points!r}/{max_lines!r}"
+        )
+    if max_points > 9 or max_lines > 7:
+        raise TooLarge(
+            f"exhaustive generation limited to 9 points / 7 lines, got "
+            f"{max_points}/{max_lines}"
+        )
+    lo, hi = _size_range(size_range, max_points)
+    empty = new_linear_system(0, [])
+    out = [empty]
+    # each class with its automorphisms, n_points bytes each in one string
+    frontier: list[tuple[LinearSystem, bytes]] = [(empty, b"")]
+    for _ in range(max_lines):
+        level: dict[tuple, tuple[LinearSystem, bytes]] = {}
+        for sys, autos in frontier:
+            n = sys.n_points
+            gens = [autos[i:i + n] for i in range(0, len(autos), n or 1)]
+            cap = len(sys.lines[0]) if sys.lines else hi
+            for size in range(lo, min(cap, hi) + 1):
+                for reuse in range(0, size + 1):
+                    fresh = size - reuse
+                    if n + fresh > max_points or reuse > n:
+                        continue
+                    bases = itertools.combinations(range(n), reuse)
+                    for base in _orbit_firsts(bases, gens, _image):
+                        bmask = _mask(base)
+                        if any((bmask & m).bit_count() > 1 for m in sys.masks):
+                            continue
+                        newline = base + tuple(range(n, n + fresh))
+                        if fresh == 0 and newline in sys.lines:
+                            continue
+                        # valid by the checks above: no second validation
+                        cand = LinearSystem(n + fresh, sys.lines + (newline,))
+                        key, lab, found = _canonical_search(cand)
+                        if key not in level:
+                            # keyed by rep's own tuples, so each class is held once
+                            rep = new_linear_system(*key)
+                            # sigma sends lab[p] to lab[sigma[p]] in rep's labels
+                            point_of = sorted(range(rep.n_points), key=lab.__getitem__)
+                            rep_autos = bytes(lab[sigma[p]] for sigma in found for p in point_of)
+                            level[(rep.n_points, rep.lines)] = (rep, rep_autos)
+        frontier = [level[k] for k in sorted(level)]
+        out.extend(rep for rep, _ in frontier)
+    return out

@@ -572,6 +572,8 @@ def validate_embedding(a: LinearSystem, b: LinearSystem, emb: Embedding) -> bool
     """Recheck an embedding witness against the subsystem definition: the
     image of every candidate line must equal the host line restricted to the
     image of the candidate point set."""
+    if not isinstance(emb, Embedding):
+        return False
     src, _ = prune_low_degree(a)
     pm = emb.point_map
     if not (isinstance(pm, dict) and isinstance(emb.line_map, dict)):

@@ -89,9 +89,9 @@ def _parse_text(text: str) -> LinearSystem:
 
 
 def load_instance(path: str | Path) -> LinearSystem:
-    """Load an instance file; JSON when the content starts with '{', the
-    whitespace text format otherwise."""
-    text = Path(path).read_text()
+    """Load a UTF-8 instance file, with or without a byte-order mark; JSON
+    when the content starts with '{', the whitespace text format otherwise."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

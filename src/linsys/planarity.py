@@ -338,6 +338,8 @@ def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
 def validate_verdict(g: Graph, v: PlanarityVerdict) -> bool:
     """Independently check a verdict's certificate: Euler-consistent rotation
     system for planar, genuine Kuratowski subdivision for non-planar."""
+    if not isinstance(v, PlanarityVerdict):
+        return False
     if v.planar:
         return v.embedding is not None and _validate_embedding_euler(g, v.embedding)
     return isinstance(v.witness, KuratowskiWitness) and _validate_witness(g, v.witness)

@@ -19,13 +19,7 @@ from typing import Callable, Iterable
 
 from .core import (
     LinearSystem,
-    TooLarge,
     _canonical_key,
-    _canonical_search,
-    _image,
-    _is_int,
-    _mask,
-    _orbit_firsts,
     embeds_as_subsystem,
     max_degree,
     new_linear_system,
@@ -33,10 +27,10 @@ from .core import (
 )
 from .constructions import (
     GenerationExhausted,
-    _size_range,
     c34_explicit,
     c_explicit,
     enumerate_c44,
+    exhaustive_small,
     projective_plane,
     random_linear_system,
 )
@@ -308,30 +302,6 @@ def _run(claim: Claim, instances: list[Instance]) -> ClaimReport:
 # instance corpus
 # ---------------------------------------------------------------------------
 
-def _star(n_rays: int, ray_size: int = 2) -> LinearSystem:
-    """n_rays lines through one common point, pairwise disjoint elsewhere."""
-    lines = []
-    nxt = 1
-    for _ in range(n_rays):
-        line = [0] + list(range(nxt, nxt + ray_size - 1))
-        nxt += ray_size - 1
-        lines.append(line)
-    return new_linear_system(nxt, lines)
-
-
-def _star_plus_two(disjoint: bool) -> LinearSystem:
-    """Five concurrent lines plus two extra lines off the center; the extras
-    either meet each other or not."""
-    star_lines = [[0, i] for i in range(1, 6)]
-    if disjoint:
-        extra = [[1, 2, 6], [3, 4, 7]]
-        n = 8
-    else:
-        extra = [[1, 2, 6], [3, 4, 6]]
-        n = 7
-    return new_linear_system(n, star_lines + extra)
-
-
 def fixture_instances() -> list[Instance]:
     """The named systems plus small handcrafted shapes exercising each claim.
 
@@ -339,6 +309,7 @@ def fixture_instances() -> list[Instance]:
     their cached values are shared with the extremal checks.
     """
     c34, *c44 = _equality_family()
+    star5 = [[0, i] for i in range(1, 6)]
     return [
         Instance("pi:2", projective_plane(2).system),
         Instance("pi:3", projective_plane(3).system),
@@ -346,10 +317,12 @@ def fixture_instances() -> list[Instance]:
         Instance("c", c_explicit().system),
         Instance("pi:5", projective_plane(5).system),
         *c44,
-        Instance("star-4", _star(4)),
-        Instance("star-5", _star(5, ray_size=3)),
-        Instance("star5-plus-disjoint-pair", _star_plus_two(disjoint=True)),
-        Instance("star5-plus-meeting-pair", _star_plus_two(disjoint=False)),
+        # stars: concurrent lines, pairwise disjoint off the center
+        Instance("star-4", new_linear_system(5, [[0, i] for i in range(1, 5)])),
+        Instance("star-5", new_linear_system(11, [[0, 2 * i - 1, 2 * i] for i in range(1, 6)])),
+        # a five-line star plus two lines off the center that miss or meet
+        Instance("star5-plus-disjoint-pair", new_linear_system(8, star5 + [[1, 2, 6], [3, 4, 7]])),
+        Instance("star5-plus-meeting-pair", new_linear_system(7, star5 + [[1, 2, 6], [3, 4, 6]])),
         Instance("two-disjoint-lines", new_linear_system(6, [[0, 1, 2], [3, 4, 5]])),
         Instance("triangle", new_linear_system(3, [[0, 1], [0, 2], [1, 2]])),
         # nu2 = 3 with four lines: a triangle plus one tail through a vertex
@@ -387,69 +360,6 @@ def random_instances(seed: int, count: int) -> list[Instance]:
         except GenerationExhausted:
             continue
         out.append(Instance(f"random-{sub_seed}", sys))
-    return out
-
-
-def exhaustive_small(
-    max_points: int, max_lines: int, size_range: tuple[int, int] = (2, 4)
-) -> list[LinearSystem]:
-    """All linear systems within the bounds, one per isomorphism class.
-
-    Orbit-pruned orderly extension: lines are added in non-increasing size
-    order (every system can be built that way), new points take the next free
-    ids, a new line reuses only the first point set of each orbit under the
-    automorphisms the class's canonical search found (which map extensions
-    onto isomorphic ones), and each level is deduplicated by canonical
-    encoding.  Ground sets carry no isolated points.  Raises
-    :class:`GenerationExhausted` for a bound that is not a nonnegative int or
-    a size range that is not two ints with ``1 <= lo <= hi``.
-    """
-    if not all(_is_int(b) and b >= 0 for b in (max_points, max_lines)):
-        raise GenerationExhausted(
-            f"bounds must be nonnegative integers, got {max_points!r}/{max_lines!r}"
-        )
-    if max_points > 9 or max_lines > 7:
-        raise TooLarge(
-            f"exhaustive generation limited to 9 points / 7 lines, got "
-            f"{max_points}/{max_lines}"
-        )
-    lo, hi = _size_range(size_range)
-    hi = min(hi, max_points)
-    empty = new_linear_system(0, [])
-    out = [empty]
-    # each class with its automorphisms, n_points bytes each in one string
-    frontier: list[tuple[LinearSystem, bytes]] = [(empty, b"")]
-    for _ in range(max_lines):
-        level: dict[tuple, tuple[LinearSystem, bytes]] = {}
-        for sys, autos in frontier:
-            n = sys.n_points
-            gens = [autos[i:i + n] for i in range(0, len(autos), n or 1)]
-            cap = len(sys.lines[0]) if sys.lines else hi
-            for size in range(lo, min(cap, hi) + 1):
-                for reuse in range(0, size + 1):
-                    fresh = size - reuse
-                    if n + fresh > max_points or reuse > n:
-                        continue
-                    bases = itertools.combinations(range(n), reuse)
-                    for base in _orbit_firsts(bases, gens, _image):
-                        bmask = _mask(base)
-                        if any((bmask & m).bit_count() > 1 for m in sys.masks):
-                            continue
-                        newline = base + tuple(range(n, n + fresh))
-                        if fresh == 0 and newline in sys.lines:
-                            continue
-                        # valid by the checks above: no second validation
-                        cand = LinearSystem(n + fresh, sys.lines + (newline,))
-                        key, lab, found = _canonical_search(cand)
-                        if key not in level:
-                            # keyed by rep's own tuples, so each class is held once
-                            rep = new_linear_system(*key)
-                            # sigma sends lab[p] to lab[sigma[p]] in rep's labels
-                            point_of = sorted(range(rep.n_points), key=lab.__getitem__)
-                            rep_autos = bytes(lab[sigma[p]] for sigma in found for p in point_of)
-                            level[(rep.n_points, rep.lines)] = (rep, rep_autos)
-        frontier = [level[k] for k in sorted(level)]
-        out.extend(rep for rep, _ in frontier)
     return out
 
 

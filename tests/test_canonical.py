@@ -134,6 +134,9 @@ def test_validate_embedding_rejects_tampering(c_sys, pi3):
     k0, k1 = 0, 1
     bad2.point_map[k0], bad2.point_map[k1] = bad2.point_map[k1], bad2.point_map[k0]
     assert not validate_embedding(c_sys, pi3, bad2)
+    # the witness itself of the wrong type
+    for wrong in (None, "x", 3, (emb.point_map, emb.line_map), emb.point_map):
+        assert not validate_embedding(c_sys, pi3, wrong)
     # a triangle inside K4 with a tail: True == 1 and 1.0 hash like point 1
     triangle = new_linear_system(3, [[0, 1], [0, 2], [1, 2]])
     host = new_linear_system(5, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [3, 4]])

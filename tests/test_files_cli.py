@@ -171,7 +171,7 @@ def test_cli_unreadable_inputs(tmp_path, capsys, monkeypatch):
     latin1.write_bytes(b"0 1 # caf\xe9\n")
     for command in ("solve", "stats", "planarity"):
         assert main([command, str(latin1)]) == cli.EXIT_BAD_INSTANCE
-        assert "not UTF-8" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: cannot read {latin1}: not UTF-8 text\n"
 
     def unreadable(path):
         raise PermissionError(13, "Permission denied", str(path))
@@ -179,6 +179,19 @@ def test_cli_unreadable_inputs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_instance", unreadable)
     assert main(["solve", "any.json"]) == cli.EXIT_BAD_INSTANCE
     assert "error: cannot read any.json: Permission denied" in capsys.readouterr().err
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark loads as the same system, and
+    # a JSON one is still read as JSON, not as the text format
+    for name, body in (("pi3.json", (FIXTURES / "pi3.json").read_bytes()),
+                       ("sys.txt", b"# a comment\n0 1 2\n2 3\n")):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert load_instance(marked) == load_instance(plain)
+    assert main(["stats", str(tmp_path / "bom-pi3.json")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_unwritable_outputs(tmp_path, capsys):

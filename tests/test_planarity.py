@@ -185,6 +185,9 @@ def test_validate_rejects_malformed_certificates():
         (w.kind, w.branch_vertices, w.paths),
     ):
         assert not validate_verdict(k5, PlanarityVerdict(False, witness=bad))
+    # the verdict itself of the wrong type
+    for bad in (None, "x", 3, (False, w), w):
+        assert not validate_verdict(k5, bad)
 
 
 def test_edge_bound_consistency():

@@ -15,7 +15,7 @@ from linsys import (
     run_all,
     zykov_planar,
 )
-from linsys import verify
+from linsys import constructions, verify
 from linsys.constructions import GenerationExhausted
 from linsys.verify import (
     Instance,
@@ -78,6 +78,28 @@ def test_exhaustive_small_matches_unpruned_reference_at_benchmark_bound():
     assert _classes(got) == _classes(orderly_exhaustive_small(8, 6))
 
 
+def test_default_verify_corpus():
+    # the default `linsys verify` run: the fixtures, exhaustive_small(8, 5)
+    # and 200 random systems of seed 7
+    reports = run_all(VerifyConfig())
+    assert all(r.passed for r in reports)
+    assert [(r.claim_id, r.instances_checked) for r in reports] == [
+        ("full-packing-iff-max-degree-2", 1151),
+        ("nu2-2-iff-tau-1", 20),
+        ("nu2-3-forces-tau-2", 153),
+        ("nu2-4-delta-ge-5-tau-le-3", 2),
+        ("nu2-4-tau-le-4-extremal-classification", 540),
+        ("planar-nu2-234-tau-strictly-below", 673),
+        ("three-hypergraph-correspondence", 1133),
+        ("tau-nu2-sandwich", 824),
+    ]
+
+
+def test_exhaustive_small_is_one_object():
+    # the generator lives in constructions; the package and the harness re-export it
+    assert exhaustive_small is verify.exhaustive_small is constructions.exhaustive_small
+
+
 def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
     # the candidates canonised are exactly the unpruned ones whose reused
     # point set is the least of its orbit under the parent's automorphisms,
@@ -88,8 +110,8 @@ def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
         tried.append((cand.n_points, cand.lines))
         return search(cand)
 
-    search = verify._canonical_search
-    monkeypatch.setattr(verify, "_canonical_search", record)
+    search = constructions._canonical_search
+    monkeypatch.setattr(constructions, "_canonical_search", record)
     exhaustive_small(6, 4)
     want = []
     for sys in orderly_exhaustive_small(6, 3):

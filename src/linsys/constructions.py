@@ -14,12 +14,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil, log
 
 from .core import (
     BadPointId,
     LinearSystem,
     LinearSystemError,
     TooLarge,
+    _bits,
     _canonical_key,
     _canonical_search,
     _image,
@@ -31,6 +33,7 @@ from .core import (
     embeds_as_subsystem,
     new_linear_system,
 )
+from .files import MAX_POINTS
 from .solvers import two_packing_number
 
 
@@ -315,6 +318,43 @@ def _size_range(size_range: tuple[int, int], n: int) -> tuple[int, int]:
     return lo, min(hi, n)
 
 
+def _draw_mask(getrandbits, n: int, lo: int, hi: int) -> tuple[int, int]:
+    """The size and point mask of one draw: what ``rng.randint(lo, hi)``
+    then ``rng.sample(range(n), size)`` return for
+    ``getrandbits = rng.getrandbits``, from the same Mersenne Twister words
+    (CPython 3.10-3.13).
+
+    ``randbelow(w)`` is ``getrandbits(w.bit_length())`` until the value is
+    below ``w``.  ``sample`` swaps picks out of a pool list while ``n`` is
+    small next to the set a ``size``-element sample would need, and else
+    draws ``randbelow(n)`` again while the point is already chosen.
+    """
+    w = hi - lo + 1
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    size = lo + r
+    mask = 0
+    if n <= 21 + (4 ** ceil(log(size * 3, 4)) if size > 5 else 0):
+        pool = list(range(n))
+        for m in range(n, n - size, -1):
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            mask |= 1 << pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        k = n.bit_length()
+        for _ in range(size):
+            j = getrandbits(k)
+            while j >= n or mask >> j & 1:
+                j = getrandbits(k)
+            mask |= 1 << j
+    return size, mask
+
+
 def random_linear_system(
     n_points: int,
     n_lines: int,
@@ -325,10 +365,13 @@ def random_linear_system(
     and accept a draw iff it meets every accepted line in at most one point
     and is not a line already.
 
-    Deterministic for a fixed seed.  Raises :class:`GenerationExhausted` as
-    soon as no line in the size range fits next to the accepted ones, or
-    once the rejection budget runs out; :class:`BadPointId` for a point
-    count that is not an int.
+    Each draw is a fixed function of the 32-bit Mersenne Twister words of
+    ``random.Random(seed)``: the subset that ``randint`` for its size plus
+    ``sample`` for its points return on CPython 3.10-3.13.  Raises
+    :class:`GenerationExhausted` as soon as no line in the size range fits
+    next to the accepted ones, or once the rejection budget runs out;
+    :class:`BadPointId` for a point count that is not an int;
+    :class:`TooLarge` for more points than an instance file may declare.
     """
     if not _is_int(n_points):
         raise BadPointId(f"point count must be an integer, got {n_points!r}")
@@ -339,7 +382,10 @@ def random_linear_system(
         raise GenerationExhausted(
             f"size range {line_size_range} infeasible with {n_points} points"
         )
-    rng = random.Random(seed)
+    # the free masks below take n_points**2 bits
+    if n_points > MAX_POINTS:
+        raise TooLarge(f"point count {n_points} exceeds the supported limit of {MAX_POINTS}")
+    getrandbits = random.Random(seed).getrandbits
     lines: list[tuple[int, ...]] = []
     # free[p]: the points that share no accepted line with p
     free = [((1 << n_points) - 1) ^ (1 << p) for p in range(n_points)]
@@ -352,25 +398,23 @@ def random_linear_system(
             raise GenerationExhausted(
                 f"gave up after {attempts} draws with {len(lines)}/{n_lines} lines"
             )
-        size = rng.randint(lo, hi)
-        pts = tuple(sorted(rng.sample(range(n_points), size)))
-        m = _mask(pts)
+        size, m = _draw_mask(getrandbits, n_points, lo, hi)
         if size == 1:
-            ok = not singles & m
-        else:
-            ok = all(m & free[p] == m ^ (1 << p) for p in pts)
-        if not ok:
-            continue
-        lines.append(pts)
-        if size == 1:
+            if singles & m:
+                continue
             singles |= m
+        elif any(m & free[p] != m ^ (1 << p) for p in _bits(m)):
+            continue
+        pts = tuple(_bits(m))
+        lines.append(pts)
         for p in pts:
             free[p] &= ~m
         if len(lines) < n_lines and not _line_fits(free, singles, lo, hi):
             raise GenerationExhausted(
                 f"no line of {lo} to {hi} points fits after {len(lines)}/{n_lines} lines"
             )
-    return new_linear_system(n_points, lines)
+    # sorted, distinct and pairwise linear by the checks above
+    return LinearSystem(n_points, tuple(lines))
 
 
 def exhaustive_small(

@@ -23,9 +23,10 @@ class InstanceFormatError(Exception):
 
 FORMAT_VERSION = 1
 
-# The largest ground set an instance file may declare.  Every construction
-# here is far smaller (pi:11 has 133 points); the bound stops a file from
-# asking the solvers for one list per point of a huge ground set.
+# The largest ground set an instance file may declare or the random sampler
+# may draw on.  Every construction here is far smaller (pi:11 has 133 points);
+# the bound stops a file from asking the solvers for one list per point of a
+# huge ground set, and the sampler from building its n_points**2-bit masks.
 MAX_POINTS = 10_000
 
 

@@ -32,6 +32,7 @@ from linsys.constructions import (
     enumerate_c44_exhaustive,
 )
 from linsys.core import _canonical_search, _restrict
+from linsys.files import MAX_POINTS
 from linsys.verify import _RANDOM_PROFILES
 
 from _oracles import (
@@ -328,6 +329,39 @@ def test_random_generator_matches_rejection_loop_on_harness_profiles():
             assert got == _draw(rejection_sampler, n_points, n_lines, sizes, seed)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_draw_mask_matches_randint_then_sample():
+    """One draw at a time, the same words as the stdlib calls.  Up to 21
+    points ``sample`` swaps out of a pool; above that it draws into a set,
+    except for 6 to 9 points out of at most 85, which take the pool again."""
+    for n in range(1, 91):
+        for lo in range(1, min(n, 9) + 1):
+            for hi in range(lo, min(n, 9) + 1):
+                rng = random.Random(n * 100 + lo * 10 + hi)
+                mine = random.Random(n * 100 + lo * 10 + hi)
+                for _ in range(5):
+                    size = rng.randint(lo, hi)
+                    mask = sum(1 << p for p in rng.sample(range(n), size))
+                    assert constructions._draw_mask(mine.getrandbits, n, lo, hi) == (size, mask)
+                assert rng.getstate() == mine.getstate()
+
+
+@pytest.mark.parametrize("args", [(30, 35, (4, 6)), (25, 10, (1, 7)), (40, 12, (6, 9))])
+def test_random_generator_matches_rejection_loop_past_21_points(args):
+    outcomes = set()
+    for seed in range(25):
+        got = _draw(random_linear_system, *args, seed)
+        assert got == _draw(rejection_sampler, *args, seed)
+        outcomes.add(got is None)
+    assert False in outcomes
+
+
+def test_random_generator_bounds_the_ground_set():
+    # the sampler's free masks take n_points**2 bits
+    with pytest.raises(TooLarge, match="exceeds the supported limit of 10000"):
+        random_linear_system(MAX_POINTS + 1, 1, (2, 2), 0)
+    assert random_linear_system(MAX_POINTS, 1, (2, 2), 0).n_points == MAX_POINTS
 
 
 def test_line_fits_matches_brute_force():

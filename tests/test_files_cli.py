@@ -21,6 +21,16 @@ from linsys.verify import HarnessError, VerifyConfig
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _cli_env() -> dict[str, str]:
+    """The caller's environment with this package's source directory put
+    ahead of the inherited ``PYTHONPATH``, so that a subprocess finds linsys
+    and still finds dependencies reached through that path."""
+    paths = [str(Path(linsys.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 def test_round_trip(tmp_path, pi3):
     path = tmp_path / "pi3.json"
     save_instance(path, pi3, name="pi:3", comments="plane of order 3")
@@ -90,7 +100,7 @@ def test_cli_bad_construct_params(capsys):
 
 
 def test_cli_huge_plane_order_fails_at_once(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    env = _cli_env()
     done = subprocess.run(
         [sys.executable, "-m", "linsys", "construct", "pi:2305843009213693951",
          "--out", str(tmp_path / "plane.json")],
@@ -129,7 +139,7 @@ def test_cli_huge_ground_set_fails_at_once(tmp_path):
     text_file = tmp_path / "huge.txt"
     text_file.write_text(f"0 {too_many - 1}\n")
     message = f"error: n_points {too_many} exceeds the supported limit of {MAX_POINTS}\n"
-    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    env = _cli_env()
     for command in ("stats", "solve"):
         for path in (json_file, text_file):
             done = subprocess.run(
@@ -405,7 +415,7 @@ def test_exported_fixture_files(pi3, c34, c_sys):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": str(Path(linsys.__file__).resolve().parents[1])}
+    env = _cli_env()
     done = subprocess.run(
         [sys.executable, "-m", "linsys", "--help"],
         capture_output=True, text=True, env=env, timeout=60,

@@ -369,7 +369,8 @@ def random_linear_system(
     ``random.Random(seed)``: the subset that ``randint`` for its size plus
     ``sample`` for its points return on CPython 3.10-3.13.  Raises
     :class:`GenerationExhausted` as soon as no line in the size range fits
-    next to the accepted ones, or once the rejection budget runs out;
+    next to the accepted ones, once the rejection budget runs out, or for a
+    ``None`` seed, which would seed from the operating system;
     :class:`BadPointId` for a point count that is not an int;
     :class:`TooLarge` for more points than an instance file may declare.
     """
@@ -377,6 +378,8 @@ def random_linear_system(
         raise BadPointId(f"point count must be an integer, got {n_points!r}")
     if not _is_int(n_lines) or n_lines < 0:
         raise GenerationExhausted(f"line count must be a nonnegative integer, got {n_lines!r}")
+    if seed is None:
+        raise GenerationExhausted("the sampler needs a seed, got None")
     lo, hi = _size_range(line_size_range, n_points)
     if lo > n_points:
         raise GenerationExhausted(

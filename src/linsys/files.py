@@ -79,10 +79,15 @@ def _parse_text(text: str) -> LinearSystem:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        try:
-            pts = [int(tok) for tok in body.split()]
-        except ValueError:
-            raise InstanceFormatError(f"non-integer token in text input at line {lineno}")
+        pts = []
+        for tok in body.split():
+            try:
+                pts.append(int(tok))
+            except ValueError:
+                # int() refuses a signed run of decimal digits only past its digit limit
+                huge = (tok[1:] if tok[0] in "+-" else tok).isdecimal()
+                reason = "a number has too many digits" if huge else "non-integer token"
+                raise InstanceFormatError(f"{reason} in text input at line {lineno}") from None
         lines.append(pts)
     n_points = 1 + max((p for line in lines for p in line), default=-1)
     _check_ground_set(n_points)

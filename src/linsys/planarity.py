@@ -5,14 +5,15 @@ not a necessary condition for it: the 3x3 grid (three horizontal and three
 vertical segments) is a straight-line system with a non-planar incidence
 graph.  Every verdict carries a checkable certificate: a rotation system
 validated against Euler's formula when planar, or a K5/K3,3 subdivision
-when not.  The certified decision delegates to networkx; the yes/no
-answer and each test of the witness search settle the easy cases by
-counting and delegate the rest.  Certificate validation is independent of
-networkx.
+when not.  Every decision, certified or not, and each test of the
+witness search settle the easy cases by counting and delegate the rest to
+networkx, which also gives a planar graph its rotation system.
+Certificate validation is independent of networkx.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -168,13 +169,11 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
     which by Kuratowski's theorem is a K5 or K3,3 subdivision.
 
     The kept edges are those of the greedy pass over ``sorted(g.edges)``
-    that deletes each edge whose deletion leaves the graph non-planar.  The
-    pass is run in galloping blocks of 1, 2, 4, ... edges.  Adding edges
-    keeps a graph non-planar, so when deleting a whole block leaves it
-    non-planar, the greedy pass would delete every edge of the block one at
-    a time.  When it leaves the graph planar, a binary search finds the
-    first edge of the block that the greedy pass keeps; the edges before it
-    go, and the blocks restart at size 1 after it.
+    that deletes each edge whose deletion leaves the graph non-planar.
+    Deleting more edges can only make a graph planar, so deleting the edges
+    after a kept one, up to and including some edge, leaves the graph
+    non-planar before the next edge the greedy pass keeps and planar from
+    it on; a binary search finds that edge, and the edges before it go.
 
     Each test first strips the edge set to its 2-core, which keeps every
     K5 or K3,3 subdivision, since those have minimum degree 2.  Such a
@@ -191,23 +190,12 @@ def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
     def planar_without(lo: int, hi: int) -> bool:
         return _planar_edges(work.difference(order[lo:hi]), bipartite)
 
-    i, block = 0, 1
+    i = 0
     while i < len(order):
-        end = min(i + block, len(order))
-        if not planar_without(i, end):
-            work.difference_update(order[i:end])
-            i, block = end, 2 * block
-            continue
-        # deleting order[i:lo] leaves work non-planar, order[i:hi] planar
-        lo, hi = i, end
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if planar_without(i, mid):
-                hi = mid
-            else:
-                lo = mid
-        work.difference_update(order[i:lo])  # order[lo] stays
-        i, block = lo + 1, 1
+        # order[j] is the next edge the greedy pass keeps; j = len(order) if none
+        j = bisect.bisect_left(range(len(order)), True, i, key=lambda k: planar_without(i, k + 1))
+        work.difference_update(order[i:j])
+        i = j + 1
     return _decompose_subdivision(work)
 
 
@@ -220,17 +208,16 @@ def planar(g: Graph) -> bool:
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide planarity with a certificate either way: a rotation system
     (cyclic neighbor order per vertex) when planar, a Kuratowski subdivision
-    when not."""
-    # one networkx call gives both the answer and the rotation system
+    when not.  The decision is :func:`planar`'s; networkx runs on the whole
+    graph only for a planar one, to give its rotation system."""
+    if not planar(g):
+        return PlanarityVerdict(False, witness=_kuratowski_witness(g))
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n_vertices))
     nxg.add_edges_from(g.edges)
-    ok, emb = nx.check_planarity(nxg)
-    if ok:
-        data = emb.get_data()
-        rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}
-        return PlanarityVerdict(True, embedding=rotation)
-    return PlanarityVerdict(False, witness=_kuratowski_witness(g))
+    data = nx.check_planarity(nxg)[1].get_data()
+    rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}
+    return PlanarityVerdict(True, embedding=rotation)
 
 
 def zykov_planar(sys: LinearSystem) -> PlanarityVerdict:

@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from .core import (
     LinearSystem,
+    TooLarge,
     _canonical_key,
     embeds_as_subsystem,
     max_degree,
@@ -44,8 +45,6 @@ from .planarity import (
 )
 from .solvers import (
     _HYPERGRAPH_MAX_VERTICES,
-    _ORACLE_MAX_LINES,
-    _ORACLE_MAX_POINTS,
     brute_force_transversal,
     brute_force_two_packing,
     chromatic_number_3h,
@@ -132,11 +131,13 @@ def _revalidated_counterexample(inst: Instance, description: str) -> dict:
     reloaded = from_instance_dict(doc)
     tau = transversal_number(reloaded).value
     nu2 = two_packing_number(reloaded).value
-    if reloaded.n_points <= _ORACLE_MAX_POINTS and reloaded.n_lines <= _ORACLE_MAX_LINES:
+    try:
         if brute_force_transversal(reloaded).value != tau:
             raise HarnessError(f"transversal solver/oracle mismatch on {inst.name}")
         if brute_force_two_packing(reloaded).value != nu2:
             raise HarnessError(f"2-packing solver/oracle mismatch on {inst.name}")
+    except TooLarge:
+        pass  # past the oracles' size guard: the solver values stand
     return {
         "instance": doc,
         "tau": tau,

@@ -297,6 +297,11 @@ def test_random_generator_rejects_malformed_arguments():
         with pytest.raises(GenerationExhausted):
             random_linear_system(5, 2, sizes, 0)
     assert random_linear_system(5, 0, (2, 3), 0).n_lines == 0
+    # a None seed would seed from the operating system; every other seed repeats
+    with pytest.raises(GenerationExhausted, match="needs a seed"):
+        random_linear_system(5, 2, (2, 2), None)
+    for seed in (7, 7.5, "seven"):
+        assert random_linear_system(5, 2, (2, 2), seed) == random_linear_system(5, 2, (2, 2), seed)
 
 
 def _draw(sampler, *args):

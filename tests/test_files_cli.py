@@ -48,6 +48,17 @@ def test_text_format(tmp_path):
     assert loaded == new_linear_system(4, [[0, 1, 2], [2, 3]])
 
 
+def test_text_format_bad_tokens(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    for body, reason in (("1 x", "non-integer token"), ("1 +-5", "non-integer token"),
+                         ("1 -" + "9" * 5000, "a number has too many digits")):
+        path.write_text("0 1\n" + body + "\n")
+        with pytest.raises(InstanceFormatError, match=f"^{reason} in text input at line 2$"):
+            load_instance(path)
+        assert main(["stats", str(path)]) == cli.EXIT_BAD_INSTANCE == 1
+        assert capsys.readouterr().err == f"error: {reason} in text input at line 2\n"
+
+
 def test_malformed_inputs(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

@@ -21,7 +21,7 @@ from linsys import (
     validate_verdict,
     zykov_planar,
 )
-from linsys import verify
+from linsys import planarity, verify
 from linsys.planarity import _kuratowski_witness
 from linsys.verify import Instance, random_instances
 
@@ -226,6 +226,34 @@ def test_oracle_agreement_small_graphs():
         verdict = is_planar(g)
         assert planar(g) == verdict.planar == brute_planar(g)
         assert validate_verdict(g, verdict)
+
+
+def test_is_planar_decides_with_planar(monkeypatch, pi3, c34):
+    # networkx runs for planar(g) and the witness search on a non-planar
+    # graph, and once more, for the rotation system, on a planar one
+    calls = []
+    check = nx.check_planarity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(planarity.nx, "check_planarity", counting)
+
+    def count(f, g):
+        before = len(calls)
+        f(g)
+        return len(calls) - before
+
+    non_planar = [_complete(5), _k33(), new_graph(10, nx.petersen_graph().edges),
+                  incidence_graph(pi3), incidence_graph(c34)]
+    for g in non_planar:
+        assert count(is_planar, g) == count(planar, g) + count(_kuratowski_witness, g)
+    tree = new_graph(7, [(v, (v - 1) // 2) for v in range(1, 7)])
+    grid = new_graph(16, [(v, v + 1) for v in range(16) if v % 4 < 3]
+                     + [(v, v + 4) for v in range(12)])
+    for g in (tree, grid):
+        assert count(is_planar, g) == count(planar, g) + 1
 
 
 def test_planar_subsystems_stay_planar():

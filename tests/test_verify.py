@@ -213,6 +213,36 @@ def test_counterexample_revalidation_roundtrip():
     assert ce["instance"]["lines"] == [[0, 1], [1, 2], [2, 3]]
 
 
+def test_counterexample_revalidation_past_the_oracle_guard(monkeypatch, pi5):
+    # pi:5 has 31 points and lines, past the brute-force oracles' 20 x 20 guard
+    outcomes = []
+
+    def recorded(oracle):
+        def call(sys):
+            try:
+                return oracle(sys)
+            except TooLarge:
+                outcomes.append("too large")
+                raise
+        return call
+
+    for name in ("brute_force_transversal", "brute_force_two_packing"):
+        monkeypatch.setattr(verify, name, recorded(getattr(verify, name)))
+    ce = _revalidated_counterexample(Instance("pi:5", pi5), "probe record")
+    assert (ce["tau"], ce["nu2"]) == (6, 6)
+    assert outcomes == ["too large"]  # no oracle searched
+
+
+@pytest.mark.parametrize("solver, what", [("transversal_number", "transversal"),
+                                          ("two_packing_number", "2-packing")])
+def test_counterexample_revalidation_catches_a_wrong_solver(monkeypatch, solver, what):
+    real = getattr(verify, solver)
+    monkeypatch.setattr(verify, solver, lambda s: dataclasses.replace(real(s), value=real(s).value + 1))
+    inst = Instance("probe", new_linear_system(4, [[0, 1], [1, 2], [2, 3]]))
+    with pytest.raises(verify.HarnessError, match=f"^{what} solver/oracle mismatch on probe$"):
+        _revalidated_counterexample(inst, "probe record")
+
+
 def _pinned(name, system, tau, nu2, planar):
     inst = Instance(name, system)
     inst.__dict__.update(tau=tau, nu2=nu2, planar=planar)

@@ -6,15 +6,18 @@ plus certificate), ``stats`` (degree and line-size profile), ``verify``
 (claim harness with reports) and ``enumerate-c44``.
 
 Exit codes: 0 success, 1 invalid or unreadable instance input, 2 bad name,
-parameters or output path, 3 claim failure, 4 internal inconsistency (a
-planarity certificate that does not validate, or a solver that disagrees with
-its brute-force oracle).
+parameters or output path, a search past the recursion limit or a failed
+stdout (a closed one exits quietly), 3 claim failure, 4 internal
+inconsistency (a planarity certificate that does not validate, or a solver
+that disagrees with its brute-force oracle).  The commands raise; ``main``
+alone maps each error to its ``error:`` line and exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from collections import Counter
 from pathlib import Path
@@ -75,36 +78,21 @@ def _named_system(name: str) -> NamedSystem | list[NamedSystem]:
     )
 
 
-def _write_failed(exc: OSError) -> int:
-    _err(f"cannot write {exc.filename}: {exc.strerror}")
-    return EXIT_BAD_PARAMS
-
-
 def _write_members(out_dir: Path, members, noun: str) -> int:
     """One instance file per family member, named by its index."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, ns in enumerate(members):
-            save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
-    except OSError as exc:
-        return _write_failed(exc)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, ns in enumerate(members):
+        save_instance(out_dir / f"member_{i:02d}.json", ns.system, name=ns.name)
     print(f"wrote {len(members)} {noun} to {out_dir}/")
     return EXIT_OK
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        built = _named_system(args.name)
-    except LinearSystemError as exc:
-        _err(str(exc))
-        return EXIT_BAD_PARAMS
+    built = _named_system(args.name)
     if isinstance(built, list):
         return _write_members(Path(args.out or "c44"), built, "systems")
     out = Path(args.out or args.name.replace(":", "") + ".json")
-    try:
-        save_instance(out, built.system, name=built.name, comments=_symbol_comment(built))
-    except OSError as exc:
-        return _write_failed(exc)
+    save_instance(out, built.system, name=built.name, comments=_symbol_comment(built))
     print(f"wrote {built.system.n_points} points, {built.system.n_lines} lines to {out}")
     return EXIT_OK
 
@@ -183,36 +171,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             p, l = (int(x) for x in args.exhaustive.split(","))
         except ValueError:
-            _err(f'bad --exhaustive value {args.exhaustive!r}; expected "P,L"')
-            return EXIT_BAD_PARAMS
+            raise LinearSystemError(
+                f'bad --exhaustive value {args.exhaustive!r}; expected "P,L"'
+            ) from None
         config.exhaustive_bounds = (p, l)
     if args.random < 0:
-        _err(f"--random must be nonnegative, got {args.random}")
-        return EXIT_BAD_PARAMS
+        raise LinearSystemError(f"--random must be nonnegative, got {args.random}")
     # an unwritable report directory fails before the harness runs
     out_dir = Path(args.out) if args.out else Path("verify-report")
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _write_failed(exc)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         reports = run_all(config)
-    except (LinearSystemError, HarnessError) as exc:
+    except BaseException:
+        # a run that wrote no report leaves no report directory behind
         for d in created:
             d.rmdir()
-        _err(str(exc))
-        return EXIT_BAD_PARAMS if isinstance(exc, LinearSystemError) else EXIT_INTERNAL
+        raise
     failed = [r for r in reports if not r.passed]
-    try:
-        (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
-        (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
-        for r in failed:
-            for i, ce in enumerate(r.counterexamples):
-                path = out_dir / f"counterexample-{r.claim_id}-{i}.json"
-                path.write_text(json.dumps(ce, indent=2) + "\n")
-    except OSError as exc:
-        return _write_failed(exc)
+    (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
+    (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
+    for r in failed:
+        for i, ce in enumerate(r.counterexamples):
+            path = out_dir / f"counterexample-{r.claim_id}-{i}.json"
+            path.write_text(json.dumps(ce, indent=2) + "\n")
     if args.format == "markdown":
         print(reports_to_markdown(reports))
     else:
@@ -282,7 +264,21 @@ def main(argv: list[str] | None = None) -> int:
         args.system = _load(args.instance)
         if args.system is None:
             return EXIT_BAD_INSTANCE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        _sys.stdout.flush()
+    except OSError as exc:
+        if exc.filename is None:
+            # stdout failed: point it at devnull so that the flush at exit
+            # cannot fail again; a closed one (BrokenPipeError) leaves quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            _err(f"cannot write {exc.filename or '<stdout>'}: {exc.strerror}")
+        return EXIT_BAD_PARAMS
+    except (LinearSystemError, HarnessError) as exc:
+        _err(str(exc))
+        return EXIT_BAD_PARAMS if isinstance(exc, LinearSystemError) else EXIT_INTERNAL
+    return code
 
 
 if __name__ == "__main__":

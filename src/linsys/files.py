@@ -58,7 +58,7 @@ def from_instance_dict(doc: dict) -> LinearSystem:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise InstanceFormatError(f"unsupported format_version {version!r}")
     n_points = doc.get("n_points")
     if not _is_int(n_points) or n_points < 0:
@@ -89,7 +89,8 @@ def _parse_text(text: str) -> LinearSystem:
                 reason = "a number has too many digits" if huge else "non-integer token"
                 raise InstanceFormatError(f"{reason} in text input at line {lineno}") from None
         lines.append(pts)
-    n_points = 1 + max((p for line in lines for p in line), default=-1)
+    # clamped at 0, so that a file of negative ids reports its first bad id
+    n_points = max(0, 1 + max((p for line in lines for p in line), default=-1))
     _check_ground_set(n_points)
     return new_linear_system(n_points, lines)
 

@@ -119,18 +119,20 @@ def transversal_number(sys: LinearSystem) -> Certificate:
                 return True
         return False
 
-    tau = 1
-    while not coverable(full, tau, 0):
-        tau += 1
-
     members: list[int] = []
     unc = full
-    for p in range(sys.n_points):
-        if len(members) == tau:
-            break
-        if coverable(unc & ~cover[p], tau - len(members) - 1, p + 1):
-            members.append(p)
-            unc &= ~cover[p]
+    try:
+        tau = 1
+        while not coverable(full, tau, 0):
+            tau += 1
+        for p in range(sys.n_points):
+            if len(members) == tau:
+                break
+            if coverable(unc & ~cover[p], tau - len(members) - 1, p + 1):
+                members.append(p)
+                unc &= ~cover[p]
+    except RecursionError:  # one level per chosen point
+        raise TooLarge(_too_deep("transversal_number", m)) from None
     assert unc == 0 and len(members) == tau
     return Certificate("transversal", tuple(members), tau)
 
@@ -185,15 +187,22 @@ def two_packing_number(sys: LinearSystem) -> Certificate:
 
     full = (1 << m) - 1
     nu2 = 0
-    for i in range(m - 1, -1, -1):
-        c[i] = nu2 + 1  # lines above i fit at most nu2, so this takes line i
-        if fits(full & -1 << i, nu2 + 1, 0):
-            nu2 += 1
-        c[i] = nu2
-    chosen.clear()
-    fits(full, nu2, 0)
+    try:
+        for i in range(m - 1, -1, -1):
+            c[i] = nu2 + 1  # lines above i fit at most nu2, so this takes line i
+            if fits(full & -1 << i, nu2 + 1, 0):
+                nu2 += 1
+            c[i] = nu2
+        chosen.clear()
+        fits(full, nu2, 0)
+    except RecursionError:  # one level per chosen line
+        raise TooLarge(_too_deep("two_packing_number", m)) from None
     assert len(chosen) == nu2
     return Certificate("two_packing", tuple(reversed(chosen)), nu2)
+
+
+def _too_deep(solver: str, n_lines: int) -> str:
+    return f"{solver}: the search on {n_lines} lines goes deeper than the recursion limit"
 
 
 def _check_oracle_size(sys: LinearSystem) -> None:

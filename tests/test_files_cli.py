@@ -8,6 +8,7 @@ import pytest
 
 import linsys
 from linsys import (
+    LinearSystemError,
     LinearityViolation,
     load_instance,
     new_linear_system,
@@ -24,11 +25,15 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def _cli_env() -> dict[str, str]:
     """The caller's environment with this package's source directory put
     ahead of the inherited ``PYTHONPATH``, so that a subprocess finds linsys
-    and still finds dependencies reached through that path."""
+    and still finds dependencies reached through that path.  Without
+    ``PYTHONUNBUFFERED`` the child's stdout is block-buffered, as a pipe or
+    file gets by default, so a failed write leaves text for the flush at exit."""
     paths = [str(Path(linsys.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_round_trip(tmp_path, pi3):
@@ -57,6 +62,10 @@ def test_text_format_bad_tokens(tmp_path, capsys):
             load_instance(path)
         assert main(["stats", str(path)]) == cli.EXIT_BAD_INSTANCE == 1
         assert capsys.readouterr().err == f"error: {reason} in text input at line 2\n"
+    # a text file declares no point count, so only negative ids report the first id
+    path.write_text("-5 -3\n")
+    assert main(["stats", str(path)]) == cli.EXIT_BAD_INSTANCE == 1
+    assert capsys.readouterr().err == "error: line 0 contains invalid point id -5\n"
 
 
 def test_malformed_inputs(tmp_path):
@@ -68,6 +77,10 @@ def test_malformed_inputs(tmp_path):
 
     with pytest.raises(InstanceFormatError):
         from_instance_dict({"format_version": 2, "n_points": 1, "lines": []})
+    # True == 1.0 == 1, but only the integer 1 is a format version
+    for version in (True, 1.0):
+        with pytest.raises(InstanceFormatError, match=f"^unsupported format_version {version}$"):
+            from_instance_dict({"format_version": version, "n_points": 1, "lines": []})
     with pytest.raises(InstanceFormatError) as exc:
         from_instance_dict({"format_version": 1, "n_points": 3, "lines": [[0], ["x"]]})
     assert exc.value.line_index == 1
@@ -345,6 +358,63 @@ def test_cli_verify_harness_error(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--out", str(out_dir)]) == cli.EXIT_INTERNAL
     assert "solver/oracle mismatch" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cli_search_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "disjoint.json"
+    save_instance(path, new_linear_system(2400, [[2 * i, 2 * i + 1] for i in range(1200)]))
+    assert main(["solve", str(path)]) == cli.EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: transversal_number: ")
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (PermissionError(13, "Permission denied", "out.json"), cli.EXIT_BAD_PARAMS,
+     "cannot write out.json: Permission denied"),
+    (LinearSystemError("bad bounds"), cli.EXIT_BAD_PARAMS, "bad bounds"),
+    (HarnessError("solver/oracle mismatch on x"), cli.EXIT_INTERNAL,
+     "solver/oracle mismatch on x"),
+])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, message):
+    def failing(args):
+        print("partial output")
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_enumerate_c44", failing)
+    assert main(["enumerate-c44"]) == code
+    assert capsys.readouterr() == ("partial output\n", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", str(FIXTURES / "pi3.json")],
+    ["stats", str(FIXTURES / "pi3.json")],
+    ["planarity", str(FIXTURES / "c34.json")],
+    ["enumerate-c44"],
+])
+def test_cli_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes: its first flush breaks the pipe
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "linsys", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BAD_PARAMS, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_cli_full_stdout_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "linsys", "stats", str(FIXTURES / "pi5.json")],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60,
+        )
+    assert done.returncode == cli.EXIT_BAD_PARAMS
+    assert done.stderr == "error: cannot write <stdout>: No space left on device\n"
 
 
 def test_cli_enumerate_c44_summary(capsys):

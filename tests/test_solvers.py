@@ -137,6 +137,15 @@ def test_golden_witnesses(pi2, pi3, c34, c_sys):
     assert two_packing_number(c_sys).members == (0, 1, 2, 3)
 
 
+def test_searches_deeper_than_the_recursion_limit_are_too_large():
+    # tau = nu2 = 1,200 on pairwise disjoint lines: both searches recurse
+    # once per chosen point or line, past Python's default limit of 1,000
+    disjoint = new_linear_system(2400, [[2 * i, 2 * i + 1] for i in range(1200)])
+    for solver in (transversal_number, two_packing_number):
+        with pytest.raises(TooLarge, match=f"^{solver.__name__}: .* on 1200 lines .*recursion"):
+            solver(disjoint)
+
+
 def test_oracle_guards():
     big = new_linear_system(25, [[i, i + 1] for i in range(0, 24, 2)])
     with pytest.raises(TooLarge):

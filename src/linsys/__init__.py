@@ -28,10 +28,8 @@ from .core import (
     embeds_as_subsystem,
     induced_subsystem,
     is_isomorphic,
-    lines_through,
     max_degree,
     new_linear_system,
-    points_of_degree_at_least,
     prune_low_degree,
     three_hypergraph,
     validate_embedding,

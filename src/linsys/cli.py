@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 invalid or unreadable instance input, 2 bad name,
 parameters or output path, a search past the recursion limit or a failed
 stdout (a closed one exits quietly), 3 claim failure, 4 internal
 inconsistency (a planarity certificate that does not validate, or a solver
-that disagrees with its brute-force oracle).  The commands raise; ``main``
-alone maps each error to its ``error:`` line and exit code.
+that disagrees with its brute-force oracle).  The commands and argparse
+raise; ``main`` alone maps each error to its ``error:`` line and exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys as _sys
 from collections import Counter
 from pathlib import Path
 
-from .core import LinearSystemError, _incidence
+from .core import LinearSystemError
 from .constructions import (
     NamedSystem,
     c34_explicit,
@@ -30,7 +30,7 @@ from .constructions import (
     enumerate_c44,
     projective_plane,
 )
-from .files import InstanceFormatError, load_instance, save_instance
+from .files import InstanceFormatError, _write_text, load_instance, save_instance
 from .planarity import incidence_graph, is_planar, validate_verdict
 from .solvers import transversal_number, two_packing_number
 from .verify import (
@@ -146,7 +146,7 @@ def cmd_planarity(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     sys_ = args.system
-    degrees = [len(ls) for ls in _incidence(sys_)]
+    degrees = [len(ls) for ls in sys_.incidence]
 
     def histogram(values) -> dict[str, int]:
         return {str(k): v for k, v in sorted(Counter(values).items())}
@@ -189,12 +189,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             d.rmdir()
         raise
     failed = [r for r in reports if not r.passed]
-    (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
-    (out_dir / "report.md").write_text(reports_to_markdown(reports) + "\n")
+    _write_text(out_dir / "report.json", reports_to_json(reports) + "\n")
+    _write_text(out_dir / "report.md", reports_to_markdown(reports) + "\n")
     for r in failed:
         for i, ce in enumerate(r.counterexamples):
             path = out_dir / f"counterexample-{r.claim_id}-{i}.json"
-            path.write_text(json.dumps(ce, indent=2) + "\n")
+            _write_text(path, json.dumps(ce, indent=2) + "\n")
     if args.format == "markdown":
         print(reports_to_markdown(reports))
     else:
@@ -258,15 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # solve, planarity and stats take an instance file, loaded here for all three
-    if hasattr(args, "instance"):
-        args.system = _load(args.instance)
-        if args.system is None:
-            return EXIT_BAD_INSTANCE
     try:
-        code = args.func(args)
-        _sys.stdout.flush()
+        try:
+            args = build_parser().parse_args(argv)
+            # solve, planarity and stats take an instance file, loaded here for all three
+            if hasattr(args, "instance"):
+                args.system = _load(args.instance)
+                if args.system is None:
+                    return EXIT_BAD_INSTANCE
+            return args.func(args)
+        finally:
+            _sys.stdout.flush()
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return exc.code
     except OSError as exc:
         if exc.filename is None:
             # stdout failed: point it at devnull so that the flush at exit
@@ -278,7 +282,6 @@ def main(argv: list[str] | None = None) -> int:
     except (LinearSystemError, HarnessError) as exc:
         _err(str(exc))
         return EXIT_BAD_PARAMS if isinstance(exc, LinearSystemError) else EXIT_INTERNAL
-    return code
 
 
 if __name__ == "__main__":

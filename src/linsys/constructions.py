@@ -472,7 +472,7 @@ def exhaustive_small(
                         key, lab, found = _canonical_search(cand)
                         if key not in level:
                             # keyed by rep's own tuples, so each class is held once
-                            rep = new_linear_system(*key)
+                            rep = LinearSystem(*key)
                             # sigma sends lab[p] to lab[sigma[p]] in rep's labels
                             point_of = sorted(range(rep.n_points), key=lab.__getitem__)
                             rep_autos = bytes(lab[sigma[p]] for sigma in found for p in point_of)

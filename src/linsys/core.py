@@ -79,9 +79,10 @@ def _bits(mask: int):
 class LinearSystem:
     """Validated incidence structure; build instances via :func:`new_linear_system`.
 
-    ``masks`` holds one point-bitmask per line so that intersection tests are
-    O(1); it is derived from ``lines`` on first use, so a system that is only
-    stored or printed does not carry it, and it takes no part in equality.
+    ``masks`` (one point bitmask per line, for O(1) intersection tests) and
+    ``incidence`` (the ascending indices of the lines through each point)
+    are derived from ``lines`` on first use, so a system that is only stored
+    or printed carries neither, and they take no part in equality.
     """
 
     n_points: int
@@ -90,6 +91,14 @@ class LinearSystem:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(_mask(l) for l in self.lines)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        incident: list[list[int]] = [[] for _ in range(self.n_points)]
+        for i, line in enumerate(self.lines):
+            for p in line:
+                incident[p].append(i)
+        return tuple(map(tuple, incident))
 
     @property
     def n_lines(self) -> int:
@@ -187,34 +196,15 @@ def _check_line(sys: LinearSystem, l: int) -> None:
         raise BadLineIndex(f"line index {l!r} out of range [0, {sys.n_lines})")
 
 
-def _incidence(sys: LinearSystem) -> list[list[int]]:
-    """The ascending indices of the lines through each point, indexed by
-    point id."""
-    incident: list[list[int]] = [[] for _ in range(sys.n_points)]
-    for i, line in enumerate(sys.lines):
-        for p in line:
-            incident[p].append(i)
-    return incident
-
-
 def degree(sys: LinearSystem, p: int) -> int:
     """Number of lines through point ``p``."""
     _check_point(sys, p)
-    return len(_incidence(sys)[p])
+    return len(sys.incidence[p])
 
 
 def max_degree(sys: LinearSystem) -> int:
     """Largest point degree; 0 for a system without incidences."""
-    return max(map(len, _incidence(sys)), default=0)
-
-
-def points_of_degree_at_least(sys: LinearSystem, k: int) -> frozenset[int]:
-    return frozenset(p for p, ls in enumerate(_incidence(sys)) if len(ls) >= k)
-
-
-def lines_through(sys: LinearSystem, p: int) -> frozenset[int]:
-    _check_point(sys, p)
-    return frozenset(_incidence(sys)[p])
+    return max(map(len, sys.incidence), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +217,8 @@ def _restrict(
     """The chosen lines of ``sys``, in the given order, cut down to the kept
     points: empty restrictions are dropped, equal ones merged keeping the
     first, and the ground set shrinks to the covered points.  Returns the new
-    system and the old-to-new relabeling."""
+    system, linear as ``sys`` is and so not validated again, and the
+    old-to-new relabeling."""
     kept: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for i in line_indices:
@@ -237,8 +228,8 @@ def _restrict(
             kept.append(line)
     covered = sorted({p for line in kept for p in line})
     relabel = {old: new for new, old in enumerate(covered)}
-    new_lines = [tuple(relabel[p] for p in line) for line in kept]
-    return new_linear_system(len(covered), new_lines), relabel
+    new_lines = tuple(tuple(relabel[p] for p in line) for line in kept)
+    return LinearSystem(len(covered), new_lines), relabel
 
 
 def delete_point(sys: LinearSystem, p: int) -> tuple[LinearSystem, dict[int, int]]:
@@ -271,7 +262,7 @@ def prune_low_degree(sys: LinearSystem) -> tuple[LinearSystem, dict[int, int]]:
     single sweep suffices; lines shrink accordingly and emptied lines are
     dropped.
     """
-    keep = {p for p, ls in enumerate(_incidence(sys)) if len(ls) >= 2}
+    keep = {p for p, ls in enumerate(sys.incidence) if len(ls) >= 2}
     return _restrict(sys, keep, range(sys.n_lines))
 
 
@@ -306,8 +297,7 @@ def three_hypergraph(sys: LinearSystem) -> ThreeHypergraph:
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-def _refine(lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
-            colors: tuple[int, ...]) -> tuple[int, ...]:
+def _refine(sys: LinearSystem, colors: tuple[int, ...]) -> tuple[int, ...]:
     """Equitable refinement of a point coloring, returned as dense ranks.
 
     Alternates line signatures (multiset of endpoint colors) and point
@@ -316,6 +306,7 @@ def _refine(lines: tuple[tuple[int, ...], ...], incident: list[list[int]],
     a point class either, so it ends the loop.  Purely structural, hence
     invariant under relabeling.
     """
+    lines, incident = sys.lines, sys.incidence
     ncls, nlcls = len(set(colors)), -1
     while True:
         sigs = [tuple(sorted(map(colors.__getitem__, l))) for l in lines]
@@ -363,7 +354,6 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
     n, lines = sys.n_points, sys.lines
     if n == 0:
         return (0, ()), (), []
-    incident = _incidence(sys)
 
     best_enc: Optional[tuple] = None
     best_lab: Optional[tuple[int, ...]] = None
@@ -381,7 +371,7 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
         """Searches below ``base`` and returns the depth of the node to go on
         from: ``len(base)`` or more to go on, less to jump back."""
         nonlocal best_enc, best_lab, best_base
-        colors = _refine(lines, incident, colors)
+        colors = _refine(sys, colors)
         count = [0] * n
         for c in colors:
             count[c] += 1
@@ -449,7 +439,7 @@ def _canonical_key(sys: LinearSystem) -> tuple:
 def canonical_relabel(sys: LinearSystem) -> LinearSystem:
     """The canonical representative of ``sys`` itself (no pruning): points are
     renamed by the canonical labeling and lines sorted by (size, tuple)."""
-    return new_linear_system(*_canonical_search(sys)[0])
+    return LinearSystem(*_canonical_search(sys)[0])
 
 
 def canonical_form(sys: LinearSystem) -> CanonicalForm:
@@ -496,8 +486,8 @@ def embeds_as_subsystem(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
 
     pair_line = _pair_line_index(b)
     host_masks = b.masks
-    host_lines_through = _incidence(b)
-    src_incident = _incidence(src)
+    host_lines_through = b.incidence
+    src_incident = src.incidence
     src_masks = src.masks
     order = sorted(range(na), key=lambda p: (-len(src_incident[p]), p))
     # the host points sharing a line with each host point

@@ -12,13 +12,7 @@ from .core import LinearSystem, _is_int, new_linear_system
 
 
 class InstanceFormatError(Exception):
-    """Structured parse failure: carries the offending location and reason."""
-
-    def __init__(self, reason: str, line_index: Optional[int] = None):
-        self.reason = reason
-        self.line_index = line_index
-        where = f" (line entry {line_index})" if line_index is not None else ""
-        super().__init__(f"{reason}{where}")
+    """An instance file or document in neither format; the message says where."""
 
 
 FORMAT_VERSION = 1
@@ -69,7 +63,7 @@ def from_instance_dict(doc: dict) -> LinearSystem:
         raise InstanceFormatError("lines must be an array of arrays")
     for i, line in enumerate(lines):
         if not isinstance(line, list) or not all(_is_int(p) for p in line):
-            raise InstanceFormatError("each line must be an array of integers", i)
+            raise InstanceFormatError(f"each line must be an array of integers (line entry {i})")
     return new_linear_system(n_points, lines)
 
 
@@ -122,4 +116,13 @@ def save_instance(
     comments: Optional[str] = None,
 ) -> None:
     doc = to_instance_dict(sys, name=name, comments=comments)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """``Path(path).write_text(text)``; an error in ``write()`` names no file, so name it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise

@@ -2,8 +2,8 @@
 
 Each main solver is one pruned decision search over bitmask state, shared
 by the pass that finds the optimum and the pass that fixes the
-lexicographically least witness; tau counts its budget up from 1 with no
-greedy start.  The ``brute_force_*`` twins enumerate subsets outright and
+lexicographically least witness; tau counts its budget up from the root's
+own lower bound.  The ``brute_force_*`` twins enumerate subsets outright and
 exist so tests can cross-check the optimized path on every instance that
 fits their guards.
 """
@@ -19,7 +19,6 @@ from .core import (
     TooLarge,
     _check_line,
     _check_point,
-    _incidence,
     _mask,
 )
 
@@ -71,16 +70,17 @@ def transversal_number(sys: LinearSystem) -> Certificate:
     Both passes ask one decision search, ``coverable(uncovered, budget,
     lo)``: can the bitmask ``uncovered`` of lines be hit with ``budget``
     points of id at least ``lo``?  A node branches over the points of the
-    first uncovered line of least size.  It is cut when the budget is below
-    either of two counts over the uncovered lines: a greedy set of pairwise
-    disjoint ones (each needs its own point), and their number divided,
-    rounded up, by the most of them any one point covers.  The second count
-    is what prunes projective planes, where every two lines meet and the
-    first is always 1.  tau is the least budget, counting up from 1, for
-    which all lines are coverable, so no greedy start is needed: the call
-    with budget ``tau - 1`` is the failed search that proves the optimum.
-    The witness pass then fixes the points one at a time, each the least id
-    after which the rest of the budget still covers what is left.
+    first uncovered line of least size, which ``scan`` finds.  It is cut when
+    the budget is below either of two counts over the uncovered lines:
+    ``scan``'s greedy set of pairwise disjoint ones (each needs its own
+    point), and ``spread``, their number divided, rounded up, by the most of
+    them any one point covers.  The second count is what prunes projective
+    planes, where every two lines meet and the first is always 1.  tau is
+    the least budget for which all lines are coverable, counted up from the
+    larger count over all lines, below which the root cuts; the last failed
+    call, if any, proves the optimum.  The witness pass then fixes the
+    points one at a time, each the least id after which the rest of the
+    budget still covers what is left.
     """
     m = sys.n_lines
     if m == 0:
@@ -88,14 +88,10 @@ def transversal_number(sys: LinearSystem) -> Certificate:
     masks = sys.masks
     lines = sys.lines
     line_sizes = [len(l) for l in lines]
-    cover = [_mask(ls) for ls in _incidence(sys)]
+    cover = [_mask(ls) for ls in sys.incidence]
     full = (1 << m) - 1
 
-    def coverable(uncovered: int, budget: int, lo: int) -> bool:
-        if uncovered == 0:
-            return True
-        if budget <= 0:
-            return False
+    def scan(uncovered: int) -> tuple[int, int]:
         taken = 0
         disjoint = 0
         pick, pick_size = -1, 1 << 30
@@ -109,10 +105,19 @@ def transversal_number(sys: LinearSystem) -> Certificate:
                 disjoint += 1
             if line_sizes[i] < pick_size:
                 pick, pick_size = i, line_sizes[i]
-        if disjoint > budget:
-            return False
+        return disjoint, pick
+
+    def spread(uncovered: int) -> int:
         most = max((c & uncovered).bit_count() for c in cover)
-        if -(-uncovered.bit_count() // most) > budget:
+        return -(-uncovered.bit_count() // most)
+
+    def coverable(uncovered: int, budget: int, lo: int) -> bool:
+        if uncovered == 0:
+            return True
+        if budget <= 0:
+            return False
+        disjoint, pick = scan(uncovered)
+        if disjoint > budget or spread(uncovered) > budget:
             return False
         for p in lines[pick]:
             if p >= lo and coverable(uncovered & ~cover[p], budget - 1, lo):
@@ -122,7 +127,7 @@ def transversal_number(sys: LinearSystem) -> Certificate:
     members: list[int] = []
     unc = full
     try:
-        tau = 1
+        tau = max(scan(full)[0], spread(full))
         while not coverable(full, tau, 0):
             tau += 1
         for p in range(sys.n_points):
@@ -160,7 +165,7 @@ def two_packing_number(sys: LinearSystem) -> Certificate:
     if m == 0:
         return Certificate("two_packing", (), 0)
     masks = sys.masks
-    uncover = [~_mask(ls) for ls in _incidence(sys)]
+    uncover = [~_mask(ls) for ls in sys.incidence]
     c = [0] * m
     chosen: list[int] = []
 

@@ -24,7 +24,6 @@ from linsys.core import (
     Embedding,
     _canonical_key,
     _canonical_search,
-    _incidence,
     _is_int,
     _mask,
     _pair_line_index,
@@ -90,8 +89,8 @@ def backtrack_embedding(a: LinearSystem, b: LinearSystem) -> Optional[Embedding]
 
     pair_line = _pair_line_index(b)
     host_masks = b.masks
-    host_lines_through = _incidence(b)
-    src_incident = _incidence(src)
+    host_lines_through = b.incidence
+    src_incident = src.incidence
     src_linesets = [set(line) for line in src.lines]
     deg = [len(src_incident[p]) for p in range(na)]
     order = sorted(range(na), key=lambda p: (-deg[p], p))
@@ -325,7 +324,7 @@ def branch_and_bound_transversal(sys: LinearSystem) -> Certificate:
     m = sys.n_lines
     if m == 0:
         return Certificate("transversal", (), 0)
-    cover = [_mask(ls) for ls in _incidence(sys)]
+    cover = [_mask(ls) for ls in sys.incidence]
     full = (1 << m) - 1
     line_sizes = [len(l) for l in sys.lines]
 
@@ -587,7 +586,7 @@ def plain_canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) ->
     n, lines = sys.n_points, sys.lines
     if n == 0:
         return (0, ()), (), []
-    incident = _incidence(sys)
+    incident = sys.incidence
 
     best_enc: Optional[tuple] = None
     best_lab: Optional[tuple[int, ...]] = None

@@ -10,14 +10,14 @@ from linsys import (
     EmptyLine,
     LinearityViolation,
     TooFewLines,
+    canonical_relabel,
     degree,
     delete_line,
     delete_point,
+    exhaustive_small,
     induced_subsystem,
-    lines_through,
     max_degree,
     new_linear_system,
-    points_of_degree_at_least,
     prune_low_degree,
     random_linear_system,
     three_hypergraph,
@@ -76,30 +76,39 @@ def test_degree_named_systems(pi3, c34):
 
 def test_degree_accessors(pi3, c34):
     assert max_degree(pi3) == 4
-    assert points_of_degree_at_least(c34, 4) == frozenset()
-    assert points_of_degree_at_least(pi3, 4) == frozenset(range(13))
-    assert lines_through(pi3, 0) == frozenset(
-        i for i, l in enumerate(pi3.lines) if 0 in l
-    )
-    empty = new_linear_system(0, [])
-    with pytest.raises(BadPointId):
-        lines_through(empty, 0)
+    assert all(len(ls) < 4 for ls in c34.incidence)
+    assert [len(ls) for ls in pi3.incidence] == [4] * 13
+    assert pi3.incidence[0] == tuple(i for i, l in enumerate(pi3.lines) if 0 in l)
+    assert new_linear_system(0, []).incidence == ()
 
 
 def test_degree_accessors_match_direct_count():
     systems = [i.system for i in fixture_instances() + random_instances(3, 50)]
     systems.append(new_linear_system(3, [[0, 1]]))  # point 2 on no line
     for s in systems:
-        through = [
-            frozenset(i for i, l in enumerate(s.lines) if p in l) for p in range(s.n_points)
-        ]
+        through = tuple(
+            tuple(i for i, l in enumerate(s.lines) if p in l) for p in range(s.n_points)
+        )
         assert [degree(s, p) for p in range(s.n_points)] == list(map(len, through))
-        assert [lines_through(s, p) for p in range(s.n_points)] == through
+        assert s.incidence == through
+        assert all(type(ls) is tuple for ls in s.incidence) and type(s.incidence) is tuple
+        assert s.incidence is s.incidence  # cached
         assert max_degree(s) == max(map(len, through), default=0)
-        for k in range(5):
-            assert points_of_degree_at_least(s, k) == frozenset(
-                p for p in range(s.n_points) if len(through[p]) >= k
-            )
+
+
+def test_derived_systems_pass_the_validator():
+    # the reductions, canonical_relabel and exhaustive_small build their
+    # systems unvalidated, as they are linear by construction
+    systems = exhaustive_small(7, 5) + [i.system for i in fixture_instances()]
+    for seed in (1, 2, 3):
+        systems += [i.system for i in random_instances(seed, 100)]
+    for s in systems:
+        derived = [s, prune_low_degree(s)[0], canonical_relabel(s)]
+        derived.append(induced_subsystem(s, range(0, s.n_lines, 2))[0])
+        derived += [delete_point(s, p)[0] for p in range(s.n_points)]
+        derived += [delete_line(s, l)[0] for l in range(s.n_lines)]
+        for d in derived:
+            assert new_linear_system(d.n_points, d.lines) == d
 
 
 def test_delete_point_shrinks_two_point_line():
@@ -147,7 +156,7 @@ def test_induced_subsystem(pi3):
     out, _ = induced_subsystem(pi3, range(13))
     assert out.n_points == 13 and out.n_lines == 13
 
-    through0 = sorted(lines_through(pi3, 0))
+    through0 = pi3.incidence[0]
     out, _ = induced_subsystem(pi3, through0)
     assert out.n_points == 13 and out.n_lines == 4
 
@@ -188,7 +197,7 @@ def test_plane_deletion_chain_reaches_c34(pi3):
 
     k = 3
     s, pmap = delete_point(pi3, k)  # line order and indices survive this
-    k_lines = lines_through(pi3, k)
+    k_lines = pi3.incidence[k]
     keep = [i for i in range(s.n_lines) if i not in k_lines]
     l = next(i for i in range(pi3.n_lines) if i not in k_lines)
     s, pmap2 = induced_subsystem(s, keep)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from linsys import (
 from linsys import cli
 from linsys.cli import main
 from linsys.files import MAX_POINTS, InstanceFormatError, from_instance_dict, to_instance_dict
-from linsys.verify import HarnessError, VerifyConfig
+from linsys.verify import ClaimReport, HarnessError, VerifyConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,9 +82,9 @@ def test_malformed_inputs(tmp_path):
     for version in (True, 1.0):
         with pytest.raises(InstanceFormatError, match=f"^unsupported format_version {version}$"):
             from_instance_dict({"format_version": version, "n_points": 1, "lines": []})
-    with pytest.raises(InstanceFormatError) as exc:
+    entry = r"^each line must be an array of integers \(line entry 1\)$"
+    with pytest.raises(InstanceFormatError, match=entry):
         from_instance_dict({"format_version": 1, "n_points": 3, "lines": [[0], ["x"]]})
-    assert exc.value.line_index == 1
     # JSON true is a bool, not a point id or count
     with pytest.raises(InstanceFormatError):
         from_instance_dict(
@@ -392,6 +393,7 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, m
     ["stats", str(FIXTURES / "pi3.json")],
     ["planarity", str(FIXTURES / "c34.json")],
     ["enumerate-c44"],
+    ["--help"],
 ])
 def test_cli_closed_stdout_exits_quietly(argv):
     read_end, write_end = os.pipe()
@@ -408,13 +410,37 @@ def test_cli_closed_stdout_exits_quietly(argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_cli_full_stdout_is_one_error_line():
-    with open("/dev/full", "w") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "linsys", "stats", str(FIXTURES / "pi5.json")],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60,
+    for argv in (["stats", str(FIXTURES / "pi5.json")], ["--help"]):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "linsys", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60,
+            )
+        assert done.returncode == cli.EXIT_BAD_PARAMS
+        assert done.stderr == "error: cannot write <stdout>: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_cli_full_output_file_is_named(capsys):
+    assert main(["construct", "pi:2", "--out", "/dev/full"]) == cli.EXIT_BAD_PARAMS
+    assert capsys.readouterr() == ("", "error: cannot write /dev/full: No space left on device\n")
+
+
+def test_cli_failed_report_write_is_named(tmp_path, capsys, monkeypatch):
+    failed = ClaimReport("x", "a claim", 1, [{"n_points": 0}])
+    monkeypatch.setattr(cli, "run_all", lambda config: [failed])
+    write_text = Path.write_text
+    for name in ("report.json", "report.md", "counterexample-x-0.json"):
+        def full(path, *args, **kwargs):
+            if path.name == name:  # as from write(): no filename
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full)
+        assert main(["verify", "--out", str(tmp_path)]) == cli.EXIT_BAD_PARAMS
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / name}: {os.strerror(errno.ENOSPC)}\n"
         )
-    assert done.returncode == cli.EXIT_BAD_PARAMS
-    assert done.stderr == "error: cannot write <stdout>: No space left on device\n"
 
 
 def test_cli_enumerate_c44_summary(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -69,6 +70,29 @@ def test_transversal_number_named(pi3, c34):
     assert transversal_number(new_linear_system(3, [[0, 1, 2]])).value == 1
     empty = transversal_number(new_linear_system(5, []))
     assert empty.value == 0 and empty.members == ()
+
+
+def test_tau_counts_up_from_the_root_bound():
+    # every budget below the root's two counts would be cut at the root: on
+    # a plane the counting bound and on disjoint lines the disjoint count is
+    # already tau, so tau's first top-level call (lo == 0) succeeds
+    budgets = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "coverable"
+                and frame.f_back.f_code.co_name == "transversal_number"
+                and frame.f_locals["lo"] == 0):
+            budgets.append(frame.f_locals["budget"])
+
+    disjoint = new_linear_system(12, [[2 * i, 2 * i + 1] for i in range(6)])
+    for s, tau in ((projective_plane(3).system, 4), (disjoint, 6)):
+        budgets.clear()
+        sys.setprofile(profile)
+        try:
+            assert transversal_number(s).value == tau
+        finally:
+            sys.setprofile(None)
+        assert budgets == [tau]
 
 
 @pytest.mark.parametrize("q", (5, 7, 11))

@@ -22,7 +22,7 @@ import sys as _sys
 from collections import Counter
 from pathlib import Path
 
-from .core import LinearSystemError
+from .core import LinearSystem, LinearSystemError
 from .constructions import (
     NamedSystem,
     c34_explicit,
@@ -97,16 +97,17 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load(path: str):
+def _load(path: str) -> LinearSystem:
+    """Load an instance file; any failure is an :class:`InstanceFormatError`."""
     try:
         return load_instance(path)
     except OSError as exc:
-        _err(f"cannot read {path}: {exc.strerror}")
+        reason = exc.strerror
     except UnicodeDecodeError:
-        _err(f"cannot read {path}: not UTF-8 text")
-    except (InstanceFormatError, LinearSystemError) as exc:
-        _err(str(exc))
-    return None
+        reason = "not UTF-8 text"
+    except LinearSystemError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    raise InstanceFormatError(f"cannot read {path}: {reason}")
 
 
 def _print_doc(args: argparse.Namespace, doc: dict, text: str) -> int:
@@ -129,8 +130,7 @@ def cmd_planarity(args: argparse.Namespace) -> int:
     graph = incidence_graph(args.system)
     verdict = is_planar(graph)
     if not validate_verdict(graph, verdict):
-        _err("planarity certificate failed validation")
-        return EXIT_INTERNAL
+        raise HarnessError("planarity certificate failed validation")
     doc: dict = {"planar": verdict.planar}
     if verdict.planar:
         doc["embedding"] = {str(v): list(rot) for v, rot in verdict.embedding.items()}
@@ -264,8 +264,6 @@ def main(argv: list[str] | None = None) -> int:
             # solve, planarity and stats take an instance file, loaded here for all three
             if hasattr(args, "instance"):
                 args.system = _load(args.instance)
-                if args.system is None:
-                    return EXIT_BAD_INSTANCE
             return args.func(args)
         finally:
             _sys.stdout.flush()
@@ -279,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             _err(f"cannot write {exc.filename or '<stdout>'}: {exc.strerror}")
         return EXIT_BAD_PARAMS
+    except InstanceFormatError as exc:
+        _err(str(exc))
+        return EXIT_BAD_INSTANCE
     except (LinearSystemError, HarnessError) as exc:
         _err(str(exc))
         return EXIT_BAD_PARAMS if isinstance(exc, LinearSystemError) else EXIT_INTERNAL

@@ -29,7 +29,7 @@ class GraphError(Exception):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; build via :func:`new_graph`."""
+    """Simple undirected graph; :func:`new_graph` checks one from outside."""
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
@@ -73,7 +73,10 @@ def new_graph(
             raise GraphError(f"duplicate edge {e}")
         norm.add(e)
     if bipartition is not None:
-        left, right = frozenset(bipartition[0]), frozenset(bipartition[1])
+        try:
+            left, right = map(frozenset, bipartition)
+        except (TypeError, ValueError):
+            raise GraphError("bipartition must be two sets of vertex ids") from None
         if left & right or left | right != set(range(n_vertices)):
             raise GraphError("bipartition must split the vertex set")
         for u, v in norm:
@@ -85,17 +88,10 @@ def new_graph(
 
 def incidence_graph(sys: LinearSystem) -> Graph:
     """Bipartite point/line incidence graph: vertex i < n_points is point i,
-    vertex n_points + j is line j."""
-    n = sys.n_points
-    edges = []
-    for j, line in enumerate(sys.lines):
-        for p in line:
-            edges.append((p, n + j))
-    return new_graph(
-        n + sys.n_lines,
-        edges,
-        (frozenset(range(n)), frozenset(range(n, n + sys.n_lines))),
-    )
+    vertex n_points + j is line j.  Valid by construction, so not checked."""
+    n, m = sys.n_points, sys.n_lines
+    edges = frozenset((p, n + j) for j, line in enumerate(sys.lines) for p in line)
+    return Graph(n + m, edges, (frozenset(range(n)), frozenset(range(n, n + m))))
 
 
 def _adjacency(edges, vertices=()) -> dict[int, set[int]]:
@@ -124,14 +120,10 @@ def _decompose_subdivision(edges: set[tuple[int, int]]) -> KuratowskiWitness:
             tup = tuple(path)
             rev = tuple(reversed(path))
             paths.add(min(tup, rev))
-    paths = tuple(sorted(paths))
-    if len(branch) == 5:
-        kind = "K5"
-    elif len(branch) == 6:
-        kind = "K33"
-    else:
+    kind = {5: "K5", 6: "K33"}.get(len(branch))
+    if kind is None:
         raise GraphError(f"unexpected branch vertex count {len(branch)}")
-    return KuratowskiWitness(kind, tuple(branch), paths)
+    return KuratowskiWitness(kind, tuple(branch), tuple(sorted(paths)))
 
 
 def _two_core(edges) -> dict[int, set[int]]:
@@ -209,12 +201,13 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide planarity with a certificate either way: a rotation system
     (cyclic neighbor order per vertex) when planar, a Kuratowski subdivision
     when not.  The decision is :func:`planar`'s; networkx runs on the whole
-    graph only for a planar one, to give its rotation system."""
+    graph only for a planar one, to give its rotation system.  It gets the
+    edges in sorted order, so equal graphs get the same rotation system."""
     if not planar(g):
         return PlanarityVerdict(False, witness=_kuratowski_witness(g))
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n_vertices))
-    nxg.add_edges_from(g.edges)
+    nxg.add_edges_from(sorted(g.edges))
     data = nx.check_planarity(nxg)[1].get_data()
     rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}
     return PlanarityVerdict(True, embedding=rotation)
@@ -283,10 +276,7 @@ def _validate_witness(g: Graph, w: KuratowskiWitness) -> bool:
         return False
     if any(not (0 <= b < g.n_vertices) for b in branch):
         return False
-    expected_paths = {"K5": 10, "K33": 9}[w.kind]
-    if len(w.paths) != expected_paths:
-        return False
-    if len(branch) != {"K5": 5, "K33": 6}[w.kind]:
+    if (len(branch), len(w.paths)) != {"K5": (5, 10), "K33": (6, 9)}[w.kind]:
         return False
     branch_set = set(branch)
     internal_seen: set[int] = set()

@@ -37,11 +37,12 @@ from .constructions import (
 )
 from .files import from_instance_dict, to_instance_dict
 from .planarity import (
+    Graph,
     PlanarityVerdict,
     incidence_graph,
+    is_planar,
     planar,
     validate_verdict,
-    zykov_planar,
 )
 from .solvers import (
     _HYPERGRAPH_MAX_VERTICES,
@@ -106,14 +107,18 @@ class Instance:
         return self.system.n_lines
 
     @cached_property
+    def graph(self) -> Graph:
+        return incidence_graph(self.system)
+
+    @cached_property
     def planar(self) -> bool:
-        return planar(incidence_graph(self.system))
+        return planar(self.graph)
 
     @cached_property
     def verdict(self) -> PlanarityVerdict:
         """Planarity with its certificate; :attr:`planar` is cheaper where
         only the answer is needed."""
-        return zykov_planar(self.system)
+        return is_planar(self.graph)
 
     @cached_property
     def key(self) -> tuple:
@@ -202,7 +207,7 @@ def _extremal_planarity_violations(inst: Instance) -> list[str]:
     # a millisecond) runs every time, so a tampered verdict is still caught
     if inst.verdict.planar:
         return ["extremal system has planar incidence graph"]
-    if not validate_verdict(incidence_graph(inst.system), inst.verdict):
+    if not validate_verdict(inst.graph, inst.verdict):
         return ["extremal system's Kuratowski witness fails validation"]
     return []
 

@@ -377,6 +377,8 @@ def test_cli_search_past_the_recursion_limit(tmp_path, capsys):
     (LinearSystemError("bad bounds"), cli.EXIT_BAD_PARAMS, "bad bounds"),
     (HarnessError("solver/oracle mismatch on x"), cli.EXIT_INTERNAL,
      "solver/oracle mismatch on x"),
+    (InstanceFormatError("cannot read x.json: Permission denied"), cli.EXIT_BAD_INSTANCE,
+     "cannot read x.json: Permission denied"),
 ])
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, exc, code, message):
     def failing(args):

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from linsys import (
+    Graph,
     GraphError,
     KuratowskiWitness,
     PlanarityVerdict,
@@ -66,6 +67,49 @@ def test_new_graph_validation():
     for n, edges in bad:
         with pytest.raises(GraphError):
             new_graph(n, edges)
+
+
+def test_malformed_bipartition_is_a_graph_error():
+    # not a pair of vertex sets: ints, three parts, one part, no iterable
+    for bipartition in ((0, 1), (frozenset({0}), frozenset({1}), frozenset()),
+                        (frozenset({0, 1}),), 5, ([[0]], [1])):
+        with pytest.raises(GraphError, match="bipartition"):
+            new_graph(2, [(0, 1)], bipartition)
+    g = new_graph(2, [(0, 1)], ([0], {1}))
+    assert g.bipartition == (frozenset({0}), frozenset({1}))
+
+
+def _system_corpus():
+    """The harness fixtures and the two random corpora of the planarity checks."""
+    systems = [inst.system for inst in verify.fixture_instances()]
+    for seed in (5, 7):
+        systems += [inst.system for inst in random_instances(seed, 200)]
+    return systems
+
+
+def test_incidence_graph_equals_the_validated_graph(monkeypatch):
+    """``incidence_graph`` builds, without ``new_graph``, the graph that
+    ``new_graph`` returns for the same edges and bipartition."""
+    systems = _system_corpus()
+    validated = [new_graph(g.n_vertices, g.edges, g.bipartition)
+                 for g in map(incidence_graph, systems)]
+
+    def unexpected(*args):
+        raise AssertionError("incidence_graph called new_graph")
+
+    monkeypatch.setattr(planarity, "new_graph", unexpected)
+    assert [incidence_graph(s) for s in systems] == validated
+
+
+def test_equal_graphs_get_equal_verdicts():
+    """The verdict, rotation system included, depends on the graph alone, not
+    on the order in which its edge set was built."""
+    graphs = [incidence_graph(s) for s in _system_corpus()] + list(_random_graphs())
+    for g in graphs:
+        built = new_graph(g.n_vertices, sorted(g.edges), g.bipartition)
+        reversed_set = Graph(g.n_vertices, frozenset(reversed(sorted(g.edges))), g.bipartition)
+        assert g == built == reversed_set
+        assert is_planar(g) == is_planar(built) == is_planar(reversed_set)
 
 
 def test_incidence_graph_counts(pi3, c34):

@@ -370,6 +370,27 @@ def test_equality_family_is_built_once_per_process(fresh_family):
         assert planar.instances_checked == 9 + in_corpus
 
 
+def test_instance_builds_its_graph_once(monkeypatch, fresh_family):
+    built = []
+    build = verify.incidence_graph
+
+    def counting(system):
+        built.append(system)
+        return build(system)
+
+    monkeypatch.setattr(verify, "incidence_graph", counting)
+    config = VerifyConfig(n_random=0, exhaustive_bounds=None, include_fixtures=False)
+    run_all(config)
+    run_all(config)
+    family = verify._equality_family()
+    for inst in family:
+        assert inst.planar is inst.verdict.planar is False
+    assert built == [inst.system for inst in family]
+    inst = Instance("disjoint", new_linear_system(6, [[0, 1, 2], [3, 4, 5]]))
+    assert inst.planar and inst.verdict.planar
+    assert built[-1] is inst.system and len(built) == len(family) + 1
+
+
 @pytest.mark.parametrize("tamper", ["planar", "witness"])
 def test_tampered_cached_verdict_is_a_counterexample(monkeypatch, tamper):
     """A cached verdict is checked again on every run, so one that turns

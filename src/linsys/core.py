@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 from typing import Callable, Container, Iterable, Iterator, Optional
 
 
@@ -400,12 +401,8 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
             if depth < len(base):
                 return depth
             tried.append(v)
-            # the orbits of the tried branches, closed over the kept generators
-            gens = [s for s in autos if all(s[b] == b for b in base)]
-            seen, layer = set(tried), set(tried)
-            while layer:
-                layer = {s[p] for p in layer for s in gens} - seen
-                seen |= layer
+            # the orbits of the tried branches under the kept generators fixing the base
+            seen = _orbit(tried, [s for s in autos if all(s[b] == b for b in base)])
         return len(base)
 
     dfs(colors or (0,) * n, [])
@@ -417,17 +414,26 @@ def _image(g, points: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(g[p] for p in points))
 
 
+def _orbit(items: Iterable, gens: list, image: Callable = getitem) -> set:
+    """The union of the orbits of ``items`` under the group ``gens``
+    generate, where ``image(g, x)`` is the image of ``x`` under ``g`` (by
+    default ``g[x]``, a point under a permutation)."""
+    seen = set(items)
+    layer = set(seen)
+    while layer:
+        layer = {image(g, y) for y in layer for g in gens} - seen
+        seen |= layer
+    return seen
+
+
 def _orbit_firsts(items: Iterable, gens: list, image: Callable) -> Iterator:
     """The first item of each orbit in ``items`` under the group ``gens``
-    generate, where ``image(g, x)`` is the image of ``x`` under ``g``."""
+    generate, with ``image`` as for :func:`_orbit`."""
     seen: set = set()
     for x in items:
         if x not in seen:
             yield x
-            layer = {x}
-            while layer:
-                layer = {image(g, y) for y in layer for g in gens} - seen
-                seen |= layer
+            seen |= _orbit((x,), gens, image)
 
 
 def _canonical_key(sys: LinearSystem) -> tuple:

@@ -112,6 +112,8 @@ class Instance:
 
     @cached_property
     def planar(self) -> bool:
+        if "verdict" in self.__dict__:  # decided already, with its certificate
+            return self.verdict.planar
         return planar(self.graph)
 
     @cached_property

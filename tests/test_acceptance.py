@@ -6,6 +6,7 @@ module.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines and timings.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -190,6 +191,20 @@ def test_criterion_6_equality_family_not_planar():
         assert validate_verdict(incidence_graph(s), verdict), name
         assert time.perf_counter() - t0 < 10.0
     _ok(6, f"{len(systems)} extremal systems have validated non-planarity witnesses")
+
+
+# SHA-256 of repr([(s.n_points, s.lines) for s in exhaustive_small(9, 7)]) as
+# the generator that searched every extension and deduplicated each level by
+# canonical encoding computed it; the orderly oracle is too slow at (9, 7)
+_EXHAUSTIVE_9_7_SHA256 = "c2393a147ac391887f0e2fca2308356193ffd6ea1204fd6852a7686876752e3a"
+
+
+def test_criterion_7_exhaustive_class_is_pinned(corpus):
+    _, sweep, _ = corpus
+    classes = [(i.system.n_points, i.system.lines) for i in sweep if i.name.startswith("exhaustive")]
+    assert len(classes) == 38416
+    assert hashlib.sha256(repr(classes).encode()).hexdigest() == _EXHAUSTIVE_9_7_SHA256
+    _ok(7, f"{len(classes)} exhaustive classes match the pinned digest")
 
 
 def test_criterion_7_property_suite(corpus):

@@ -15,7 +15,7 @@ from linsys import (
     run_all,
     zykov_planar,
 )
-from linsys import constructions, verify
+from linsys import constructions, planarity, verify
 from linsys.constructions import GenerationExhausted
 from linsys.verify import (
     Instance,
@@ -101,17 +101,18 @@ def test_exhaustive_small_is_one_object():
 
 
 def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
-    # the candidates canonised are exactly the unpruned ones whose reused
-    # point set is the least of its orbit under the parent's automorphisms,
-    # found here by trying every permutation
+    # the candidates formed are exactly the unpruned ones whose reused point
+    # set is the least of its orbit under the parent's automorphisms, found
+    # here by trying every permutation
     tried = []
 
-    def record(cand):
-        tried.append((cand.n_points, cand.lines))
-        return search(cand)
+    def record(*args):
+        for cand, newline in extensions(*args):
+            tried.append((cand.n_points, cand.lines))
+            yield cand, newline
 
-    search = constructions._canonical_search
-    monkeypatch.setattr(constructions, "_canonical_search", record)
+    extensions = constructions._extensions
+    monkeypatch.setattr(constructions, "_extensions", record)
     exhaustive_small(6, 4)
     want = []
     for sys in orderly_exhaustive_small(6, 3):
@@ -129,6 +130,25 @@ def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
                     if min(tuple(sorted(g[p] for p in base)) for g in autos) == base:
                         want.append((n + fresh, sys.lines + (newline,)))
     assert tried == want
+
+
+@pytest.mark.parametrize("bounds, size_range", [
+    ((6, 4), (2, 4)), ((7, 5), (2, 4)), ((8, 6), (2, 4)),
+    ((7, 5), (1, 3)), ((8, 5), (2, 2)),
+])
+def test_exhaustive_small_searches_once_per_class(monkeypatch, bounds, size_range):
+    # canonical augmentation rejects every extension that is not its class's
+    # canonical one before searching it: one search per non-empty class
+    searched = []
+
+    def record(cand, colors=None):
+        searched.append(cand)
+        return search(cand, colors)
+
+    search = constructions._canonical_search
+    monkeypatch.setattr(constructions, "_canonical_search", record)
+    out = exhaustive_small(*bounds, size_range)
+    assert len(searched) == len(out) - 1
 
 
 def test_exhaustive_small_guards():
@@ -389,6 +409,25 @@ def test_instance_builds_its_graph_once(monkeypatch, fresh_family):
     inst = Instance("disjoint", new_linear_system(6, [[0, 1, 2], [3, 4, 5]]))
     assert inst.planar and inst.verdict.planar
     assert built[-1] is inst.system and len(built) == len(family) + 1
+
+
+def test_instance_planar_reads_a_cached_verdict(monkeypatch):
+    # the planar claim reads each family member's verdict, then its planar
+    # answer; the answer comes from the verdict, not from networkx again
+    calls = []
+    check = planarity.nx.check_planarity
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(planarity.nx, "check_planarity", counting)
+    for member in verify._equality_family():
+        inst = Instance(member.name, member.system)
+        inst.verdict
+        decided = len(calls)
+        assert inst.planar is inst.verdict.planar is False
+        assert len(calls) == decided
 
 
 @pytest.mark.parametrize("tamper", ["planar", "witness"])

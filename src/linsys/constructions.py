@@ -496,9 +496,9 @@ def exhaustive_small(
     its canonical line to delete (:func:`_canonical_augmentation`), so each
     class of the next level is kept once.  Nearly every rejection comes
     before the search: (8, 6) takes 3,271 searches for its 3,271 non-empty
-    classes (8,435 when every extension was searched) and 0.80 s, against
-    1.34 s (medians of 8 runs, CPython 3.11 on a 2-vCPU VM); (9, 7) takes
-    38,416 for 38,415.  Classes come in the order of their canonical
+    classes (8,435 when every extension was searched) and about 0.64 s (the
+    classify benchmark's median over 10 runs, CPython 3.11 on a 2-vCPU VM);
+    (9, 7) takes 38,416 for 38,415.  Classes come in the order of their canonical
     encodings, and ground sets carry no isolated points.  Raises
     :class:`GenerationExhausted` for a bound that is not a nonnegative int or
     a size range that is not two ints with ``1 <= lo <= hi``.

@@ -303,26 +303,32 @@ def _refine(sys: LinearSystem, colors: tuple[int, ...]) -> tuple[int, ...]:
 
     Alternates line signatures (multiset of endpoint colors) and point
     signatures (own color plus multiset of incident line signatures) until
-    the partition stabilizes.  A round that splits no line class cannot split
-    a point class either, so it ends the loop.  Purely structural, hence
-    invariant under relabeling.
+    the partition stabilizes.  Colors are ranked first unless they are dense
+    ranks already; ranking keeps every signature's order.  A round that
+    splits no line class cannot split a point class either, and one that
+    splits no point class leaves the ranks as they were, so either ends the
+    loop, as does a discrete coloring.  Purely structural, hence invariant
+    under relabeling.
     """
     lines, incident = sys.lines, sys.incidence
-    ncls, nlcls = len(set(colors)), -1
-    while True:
+    classes = set(colors)
+    ncls, nlcls = len(classes), -1
+    if ncls and (min(classes) != 0 or max(classes) != ncls - 1):
+        colors = tuple(map(dict(zip(sorted(classes), range(ncls))).__getitem__, colors))
+    while ncls < len(colors):
         sigs = [tuple(sorted(map(colors.__getitem__, l))) for l in lines]
-        lrank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        if len(lrank) == nlcls:
-            return colors
-        nlcls = len(lrank)
-        lcol = [lrank[s] for s in sigs]
+        classes = set(sigs)
+        if len(classes) == nlcls:
+            break
+        nlcls = len(classes)
+        lcol = list(map(dict(zip(sorted(classes), range(nlcls))).__getitem__, sigs))
         psig = [(c, tuple(sorted(map(lcol.__getitem__, ls)))) for c, ls in zip(colors, incident)]
-        prank = {s: r for r, s in enumerate(sorted(set(psig)))}
-        new = tuple(map(prank.__getitem__, psig))
-        k = len(prank)
-        if k == ncls:
-            return new
-        colors, ncls = new, k
+        classes = set(psig)
+        if len(classes) == ncls:
+            break
+        ncls = len(classes)
+        colors = tuple(map(dict(zip(sorted(classes), range(ncls))).__getitem__, psig))
+    return colors
 
 
 def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
@@ -334,7 +340,9 @@ def _individualize(colors: tuple[int, ...], v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tuple:
+def _canonical_search(
+    sys: LinearSystem, colors: Optional[tuple] = None, *, target: Optional[tuple] = None
+) -> tuple:
     """Canonical encoding ``(n_points, lines)`` of ``sys`` itself, lines
     relabeled and sorted by (size, tuple); every canonical key, form and
     representative comes from this one search.
@@ -350,7 +358,8 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
     automorphisms fixing the base generate (McKay & Piperno, "Practical
     graph isomorphism, II", 2014), and these automorphisms generate every
     color-preserving one.  Returns the encoding, the labeling (``p``
-    becomes ``lab[p]``) and the automorphisms ``sigma``.
+    becomes ``lab[p]``) and the automorphisms ``sigma``; given a ``target``
+    encoding, it stops at the first leaf equal to it, with those found so far.
     """
     n, lines = sys.n_points, sys.lines
     if n == 0:
@@ -381,6 +390,8 @@ def _canonical_search(sys: LinearSystem, colors: Optional[tuple] = None) -> tupl
             enc = encode(colors)
             if best_enc is None or enc < best_enc:
                 best_enc, best_lab, best_base = enc, colors, tuple(base)
+                if enc == target:
+                    return -1  # jumps back out of every level
             elif enc == best_enc:
                 pos_to_point = [0] * n
                 for p, c in enumerate(best_lab):
@@ -459,8 +470,17 @@ def canonical_form(sys: LinearSystem) -> CanonicalForm:
 
 def is_isomorphic(a: LinearSystem, b: LinearSystem) -> bool:
     """True iff the pruned systems admit an incidence-preserving point
-    bijection inducing a bijection of lines."""
-    return _canonical_key(a) == _canonical_key(b)
+    bijection inducing a bijection of lines.  Pairs that differ in point
+    count, sorted line sizes or sorted degrees need no search; otherwise
+    ``b``'s search stops at the first leaf equal to ``a``'s canonical
+    encoding, its own canonical leaf if any."""
+    pa, pb = prune_low_degree(a)[0], prune_low_degree(b)[0]
+    # the degree list's length is the point count
+    sizes = [(sorted(map(len, s.lines)), sorted(map(len, s.incidence))) for s in (pa, pb)]
+    if sizes[0] != sizes[1]:
+        return False
+    key = _canonical_search(pa)[0]
+    return _canonical_search(pb, target=key)[0] == key
 
 
 # ---------------------------------------------------------------------------

@@ -142,18 +142,26 @@ def _two_core(edges) -> dict[int, set[int]]:
     return adj
 
 
-def _planar_edges(edges, bipartite: bool) -> bool:
-    """Planarity of an edge set.  Counting on its 2-core decides the easy
-    cases; networkx decides the rest."""
-    core = _two_core(edges)
+def _counted(core: dict[int, set[int]], bipartite: bool) -> Optional[bool]:
+    """Planarity of a 2-core where counting decides it, else None."""
     if sum(len(nbrs) >= 3 for nbrs in core.values()) < 5:
         return True
     n_edges = sum(len(nbrs) for nbrs in core.values()) // 2
     if n_edges > (2 * len(core) - 4 if bipartite else 3 * len(core) - 6):
         return False
-    g = nx.Graph()
-    g.add_edges_from((u, v) for u, nbrs in core.items() for v in nbrs if u < v)
-    return nx.check_planarity(g)[0]
+    return None
+
+
+def _planar_edges(edges, bipartite: bool) -> bool:
+    """Planarity of an edge set.  Counting on its 2-core decides the easy
+    cases; networkx decides the rest."""
+    core = _two_core(edges)
+    verdict = _counted(core, bipartite)
+    if verdict is None:
+        g = nx.Graph()
+        g.add_edges_from((u, v) for u, nbrs in core.items() for v in nbrs if u < v)
+        verdict = nx.check_planarity(g)[0]
+    return verdict
 
 
 def _kuratowski_witness(g: Graph) -> KuratowskiWitness:
@@ -200,17 +208,20 @@ def planar(g: Graph) -> bool:
 def is_planar(g: Graph) -> PlanarityVerdict:
     """Decide planarity with a certificate either way: a rotation system
     (cyclic neighbor order per vertex) when planar, a Kuratowski subdivision
-    when not.  The decision is :func:`planar`'s; networkx runs on the whole
-    graph only for a planar one, to give its rotation system.  It gets the
+    when not.  The 2-core counts of :func:`planar` settle a graph with too
+    many edges as non-planar; one networkx call on the whole graph decides
+    any other and gives a planar one its rotation system.  It gets the
     edges in sorted order, so equal graphs get the same rotation system."""
-    if not planar(g):
-        return PlanarityVerdict(False, witness=_kuratowski_witness(g))
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n_vertices))
-    nxg.add_edges_from(sorted(g.edges))
-    data = nx.check_planarity(nxg)[1].get_data()
-    rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}
-    return PlanarityVerdict(True, embedding=rotation)
+    if _counted(_two_core(g.edges), g.bipartition is not None) is not False:
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n_vertices))
+        nxg.add_edges_from(sorted(g.edges))
+        is_planar_graph, embedding = nx.check_planarity(nxg)
+        if is_planar_graph:
+            data = embedding.get_data()
+            rotation = {v: tuple(data.get(v, ())) for v in range(g.n_vertices)}
+            return PlanarityVerdict(True, embedding=rotation)
+    return PlanarityVerdict(False, witness=_kuratowski_witness(g))
 
 
 def zykov_planar(sys: LinearSystem) -> PlanarityVerdict:

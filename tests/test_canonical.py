@@ -18,12 +18,13 @@ from linsys import (
     random_linear_system,
     validate_embedding,
 )
-from linsys import core
+from linsys import constructions, core
 from linsys.constructions import GenerationExhausted, find_triangles
-from linsys.core import _canonical_search
+from linsys.core import _canonical_key, _canonical_search
 from linsys.verify import exhaustive_small, fixture_instances, random_instances
 
 from _oracles import (
+    _plain_refine,
     automorphism_closure,
     backtrack_embedding,
     brute_automorphisms,
@@ -109,6 +110,86 @@ def test_is_isomorphic_agrees_with_brute_force(seed, seed2):
     except GenerationExhausted:
         return
     assert is_isomorphic(a, b) == brute_isomorphic(a, b)
+
+
+def _profile(sys):
+    """Point count, sorted line sizes and sorted degrees of the pruned system."""
+    s = prune_low_degree(sys)[0]
+    return (s.n_points, tuple(sorted(map(len, s.lines))),
+            tuple(sorted(len(ls) for ls in s.incidence)))
+
+
+def test_is_isomorphic_agrees_with_keys_on_classes_with_one_profile():
+    # every pair that shares the profile reaches the search that stops at
+    # the other side's encoding, and both answers occur among them; at
+    # (6, 4) the profile alone decides every pair
+    rng = random.Random(11)
+    groups: dict[tuple, list] = {}
+    for sys in exhaustive_small(6, 5):
+        groups.setdefault(_profile(sys), []).append(sys)
+    answers = []
+    for group in groups.values():
+        for i, a in enumerate(group):
+            for b in group[i:]:
+                got = is_isomorphic(_shuffled(a, rng), _shuffled(b, rng))
+                assert got == (_canonical_key(a) == _canonical_key(b))
+                answers.append(got)
+    assert len(answers) == 158 + 603 and answers.count(False) == 47
+
+
+def test_is_isomorphic_agrees_with_keys_on_relabeled_c44():
+    rng = random.Random(12)
+    members = [ns.system for ns in enumerate_c44()]
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            got = is_isomorphic(a, _shuffled(b, rng))
+            assert got == (_canonical_key(a) == _canonical_key(b)) == (i == j)
+
+
+def test_is_isomorphic_tells_profiles_apart_without_a_search(monkeypatch, c34, c_sys):
+    searched = []
+    search = core._canonical_search
+
+    def record(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_canonical_search", record)
+    assert not is_isomorphic(c34, c_sys)  # 8 against 10 pruned points
+    # same points and line sizes: a path of three lines against a star
+    path = new_linear_system(4, [[0, 1], [1, 2], [2, 3]])
+    star = new_linear_system(4, [[0, 1], [0, 2], [0, 3]])
+    assert not is_isomorphic(path, star)
+    assert searched == []
+
+
+def test_is_isomorphic_stops_at_the_first_matching_leaf(monkeypatch, pi5):
+    # after its full search of the first side, is_isomorphic's search of the
+    # second ends at the first leaf equal to the first's encoding, with
+    # fewer refinements than a full search of it
+    calls = []
+    refine = core._refine
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(core, "_refine", counted)
+
+    def refinements(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    rng = random.Random(13)
+    for ns in enumerate_c44():
+        a, b = ns.system, _shuffled(ns.system, rng)
+        full_a = refinements(_canonical_search, prune_low_degree(a)[0])
+        full_b = refinements(_canonical_search, prune_low_degree(b)[0])
+        assert refinements(is_isomorphic, a, b) - full_a < full_b
+    # a shuffled pi:5's first leaf is rarely the canonical one, so the
+    # search goes on past leaves that differ from the target
+    assert all(is_isomorphic(pi5, _shuffled(pi5, rng)) for _ in range(3))
 
 
 def test_embeds_named_chain(pi3, c34, c_sys):
@@ -409,3 +490,38 @@ def test_canonical_form_of_pi5_refines_at_most_200_times(pi5, monkeypatch):
     monkeypatch.setattr(core, "_refine", counted)
     assert canonical_form(pi5).pruned_sizes == (31, 31)
     assert 0 < len(calls) <= 200
+
+
+def _dense(colors):
+    return sorted(set(colors)) == list(range(len(set(colors))))
+
+
+def test_refine_matches_plain_refine_on_recorded_inputs(monkeypatch, pi2, pi3, pi5):
+    # the inputs of every refinement of exhaustive generation, of the c44
+    # searches (one starts from pi:3 with a triangle's vertices coloured
+    # apart) and of shuffled pi:2, pi:3 and pi:5, each also with its colours spread
+    # apart, which makes them non-dense
+    recorded = []
+    refine = core._refine
+
+    def record(sys, colors):
+        recorded.append((sys, colors))
+        return refine(sys, colors)
+
+    monkeypatch.setattr(core, "_refine", record)
+    monkeypatch.setattr(constructions, "_refine", record)
+    exhaustive_small(7, 5)
+    enumerate_c44.__wrapped__()
+    rng = random.Random(14)
+    for plane in (pi2, pi3, pi5):
+        canonical_form(_shuffled(plane, rng))
+    monkeypatch.undo()
+    kinds = set()
+    for sys, colors in recorded:
+        for cs in (colors, tuple(2 * c + 1 for c in colors)):
+            got = core._refine(sys, cs)
+            assert got == _plain_refine(sys.n_points, sys.lines, sys.incidence, cs)
+            kinds.add((len(set(cs)) == len(cs), _dense(cs), got == cs))
+    # discrete, already equitable and still to refine; dense and not
+    assert {(True, True, True), (False, True, True), (False, True, False),
+            (True, False, False), (False, False, False)} <= kinds

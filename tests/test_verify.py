@@ -132,11 +132,14 @@ def test_exhaustive_small_tries_one_point_set_per_orbit(monkeypatch):
     assert tried == want
 
 
-@pytest.mark.parametrize("bounds, size_range, searches", [
-    ((6, 4), (2, 4), 79), ((7, 5), (2, 4), 420), ((8, 6), (2, 4), 3271),
-    ((7, 5), (1, 3), 914), ((8, 5), (2, 2), 43),
-])
-def test_exhaustive_small_searches_once_per_class(monkeypatch, bounds, size_range, searches):
+SEARCHES = {
+    ((6, 4), (2, 4)): 79, ((7, 5), (2, 4)): 420, ((8, 6), (2, 4)): 3271,
+    ((7, 5), (1, 3)): 914, ((8, 5), (2, 2)): 43,
+}
+
+
+@pytest.mark.parametrize("bounds, size_range", list(SEARCHES))
+def test_exhaustive_small_searches_once_per_class(monkeypatch, bounds, size_range):
     # canonical augmentation rejects every extension that is not its class's
     # canonical one before searching it: one search per non-empty class, and
     # the counts are pinned so that no change adds searches unseen
@@ -149,7 +152,7 @@ def test_exhaustive_small_searches_once_per_class(monkeypatch, bounds, size_rang
     search = constructions._canonical_search
     monkeypatch.setattr(constructions, "_canonical_search", record)
     out = exhaustive_small(*bounds, size_range)
-    assert len(searched) == len(out) - 1 == searches
+    assert len(searched) == len(out) - 1 == SEARCHES[bounds, size_range]
 
 
 def test_exhaustive_small_guards():

@@ -299,22 +299,18 @@ def three_hypergraph(sys: LinearSystem) -> ThreeHypergraph:
 # ---------------------------------------------------------------------------
 
 def _refine(sys: LinearSystem, colors: tuple[int, ...]) -> tuple[int, ...]:
-    """Equitable refinement of a point coloring, returned as dense ranks.
+    """Equitable refinement of a point coloring given as dense ranks (the
+    colors used are ``0..k-1``), returned as dense ranks.
 
     Alternates line signatures (multiset of endpoint colors) and point
     signatures (own color plus multiset of incident line signatures) until
-    the partition stabilizes.  Colors are ranked first unless they are dense
-    ranks already; ranking keeps every signature's order.  A round that
-    splits no line class cannot split a point class either, and one that
-    splits no point class leaves the ranks as they were, so either ends the
-    loop, as does a discrete coloring.  Purely structural, hence invariant
-    under relabeling.
+    the partition stabilizes.  A round that splits no line class cannot
+    split a point class either, and one that splits no point class leaves
+    the ranks as they were, so either ends the loop, as does a discrete
+    coloring.  Purely structural, hence invariant under relabeling.
     """
     lines, incident = sys.lines, sys.incidence
-    classes = set(colors)
-    ncls, nlcls = len(classes), -1
-    if ncls and (min(classes) != 0 or max(classes) != ncls - 1):
-        colors = tuple(map(dict(zip(sorted(classes), range(ncls))).__getitem__, colors))
+    ncls, nlcls = len(set(colors)), -1
     while ncls < len(colors):
         sigs = [tuple(sorted(map(colors.__getitem__, l))) for l in lines]
         classes = set(sigs)
@@ -347,24 +343,22 @@ def _canonical_search(
     relabeled and sorted by (size, tuple); every canonical key, form and
     representative comes from this one search.
 
-    Backtracks over the refinement tree from the point ``colors`` (all equal
-    by default): repeatedly individualize each vertex of the first
-    non-singleton color class, refine, and keep the lexicographically least
-    relabeled line list among the discrete leaves.  A leaf equal to the best
-    one gives an automorphism, which maps the path to that leaf onto the
-    best leaf's path; the subtree below their last common node was searched
-    already, so the search jumps back to that node.  A branch is skipped
-    when it lies in the orbit of a tried one under the group that the kept
-    automorphisms fixing the base generate (McKay & Piperno, "Practical
-    graph isomorphism, II", 2014), and these automorphisms generate every
-    color-preserving one.  Returns the encoding, the labeling (``p``
-    becomes ``lab[p]``) and the automorphisms ``sigma``; given a ``target``
-    encoding, it stops at the first leaf equal to it, with those found so far.
+    Backtracks over the refinement tree from the point ``colors``, dense
+    ranks as :func:`_refine` takes them (all 0 by default): repeatedly
+    individualize each vertex of the first non-singleton color class,
+    refine, and keep the lexicographically least relabeled line list among
+    the discrete leaves.  A leaf equal to the best one gives an
+    automorphism, which maps the path to that leaf onto the best leaf's
+    path; the subtree below their last common node was searched already, so
+    the search jumps back to that node.  A branch is skipped when it lies in
+    the orbit of a tried one under the group that the kept automorphisms
+    fixing the base generate (McKay & Piperno, "Practical graph isomorphism,
+    II", 2014), and these automorphisms generate every color-preserving
+    one.  Returns the encoding, the labeling (``p`` becomes ``lab[p]``) and
+    the automorphisms ``sigma``; given a ``target`` encoding, it stops at
+    the first leaf equal to it, with those found so far.
     """
     n, lines = sys.n_points, sys.lines
-    if n == 0:
-        return (0, ()), (), []
-
     best_enc: Optional[tuple] = None
     best_lab: Optional[tuple[int, ...]] = None
     best_base: tuple[int, ...] = ()
@@ -401,7 +395,6 @@ def _canonical_search(
                     autos.append(sigma)
                 return next(i for i, (a, b) in enumerate(zip(base, best_base)) if a != b)
             return len(base)
-        tried: list[int] = []
         seen: set[int] = set()
         for v in [p for p, c in enumerate(colors) if c == cell]:
             if v in seen:
@@ -411,9 +404,9 @@ def _canonical_search(
             base.pop()
             if depth < len(base):
                 return depth
-            tried.append(v)
-            # the orbits of the tried branches under the kept generators fixing the base
-            seen = _orbit(tried, [s for s in autos if all(s[b] == b for b in base)])
+            # the orbits of the tried branches under the kept generators fixing
+            # the base; these only grow here, so closing ``seen`` is enough
+            seen = _orbit(seen | {v}, [s for s in autos if all(s[b] == b for b in base)])
         return len(base)
 
     dfs(colors or (0,) * n, [])

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linsys import (
+    CanonicalForm,
     Embedding,
+    LinearSystem,
     canonical_form,
+    canonical_relabel,
     c34_from_pi3,
     embeds_as_subsystem,
     enumerate_c44,
@@ -99,6 +102,18 @@ def test_isomorphism_ignores_degree_one_decorations():
     bare = new_linear_system(3, [[0, 1], [0, 2], [1, 2]])
     decorated = new_linear_system(5, [[0, 1, 3], [0, 2, 4], [1, 2]])
     assert is_isomorphic(bare, decorated)
+
+
+def test_empty_pruned_systems_take_the_general_path():
+    # no point is left to individualize: the search's one leaf is the empty
+    # labeling, with no automorphism
+    empty = LinearSystem(0, ())
+    assert _canonical_search(empty) == ((0, ()), (), [])
+    two_lines = new_linear_system(6, [[0, 1, 2], [3, 4, 5]])
+    assert canonical_form(two_lines) == CanonicalForm(b"0;", (0, 0))
+    assert canonical_relabel(empty) == empty
+    # both prune to nothing, so their (empty) searches agree
+    assert is_isomorphic(two_lines, new_linear_system(2, [[0, 1]]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -497,10 +512,11 @@ def _dense(colors):
 
 
 def test_refine_matches_plain_refine_on_recorded_inputs(monkeypatch, pi2, pi3, pi5):
-    # the inputs of every refinement of exhaustive generation, of the c44
-    # searches (one starts from pi:3 with a triangle's vertices coloured
-    # apart) and of shuffled pi:2, pi:3 and pi:5, each also with its colours spread
-    # apart, which makes them non-dense
+    # the inputs of every refinement of exhaustive generation, of both c44
+    # searches (each starts from pi:3 with a triangle's vertices coloured
+    # apart), of is_isomorphic on relabeled c44 pairs and of shuffled pi:2,
+    # pi:3 and pi:5: every caller hands _refine dense ranks, the one input
+    # mode it takes, and there it equals the plain refinement
     recorded = []
     refine = core._refine
 
@@ -511,17 +527,20 @@ def test_refine_matches_plain_refine_on_recorded_inputs(monkeypatch, pi2, pi3, p
     monkeypatch.setattr(core, "_refine", record)
     monkeypatch.setattr(constructions, "_refine", record)
     exhaustive_small(7, 5)
-    enumerate_c44.__wrapped__()
+    members = [ns.system for ns in enumerate_c44.__wrapped__()]
+    constructions.enumerate_c44_exhaustive()
     rng = random.Random(14)
+    for a in members:
+        for b in members:
+            is_isomorphic(a, _shuffled(b, rng))
     for plane in (pi2, pi3, pi5):
         canonical_form(_shuffled(plane, rng))
     monkeypatch.undo()
     kinds = set()
     for sys, colors in recorded:
-        for cs in (colors, tuple(2 * c + 1 for c in colors)):
-            got = core._refine(sys, cs)
-            assert got == _plain_refine(sys.n_points, sys.lines, sys.incidence, cs)
-            kinds.add((len(set(cs)) == len(cs), _dense(cs), got == cs))
-    # discrete, already equitable and still to refine; dense and not
-    assert {(True, True, True), (False, True, True), (False, True, False),
-            (True, False, False), (False, False, False)} <= kinds
+        assert _dense(colors)
+        got = core._refine(sys, colors)
+        assert got == _plain_refine(sys.n_points, sys.lines, sys.incidence, colors)
+        kinds.add((len(set(colors)) == len(colors), got == colors))
+    # discrete, already equitable and still to refine
+    assert {(True, True), (False, True), (False, False)} <= kinds
